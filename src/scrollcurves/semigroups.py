@@ -203,12 +203,20 @@ class NumericalSemigroup:
 def make_semigroup(generators) -> NumericalSemigroup:
     """Build the numerical semigroup generated by the given integers.
 
-    The generators must be positive with overall gcd 1.  Gaps are found by
-    a reachability sieve; the sieve window is certified complete by checking
-    that a full run of alpha consecutive integers at the top is reachable.
+    The generators must be positive with overall gcd 1.  Reachability is
+    streamed upward from 0 (i is reachable when i - g is, for some generator
+    g), and every unreachable integer is recorded as a gap as the stream
+    passes it.  The stream stops at the first run of alpha consecutive
+    reachable integers, alpha being the multiplicity: adding alpha repeatedly
+    to that run reaches every larger integer, so the run certifies that the
+    gap set is complete.  The buffer grows with the stream and never passes
+    Schur's bound (alpha - 1)(max - 1) + alpha on where such a run must end;
+    reaching the bound without one raises BoundExceeded.
 
     >>> make_semigroup((4, 5, 7)).gaps
     (1, 2, 3, 6)
+    >>> make_semigroup((3, 1001)).gamma
+    1999
     """
     gens = tuple(sorted({int(g) for g in generators}))
     if not gens:
@@ -217,16 +225,22 @@ def make_semigroup(generators) -> NumericalSemigroup:
         raise ValueError("generators must be positive integers")
     if math.gcd(*gens) != 1:
         raise GcdNotOne(f"generators {gens} have gcd {math.gcd(*gens)}")
-    limit = 4 * gens[-1] ** 2 + 4
-    reach = bytearray(limit)
-    reach[0] = 1
-    for g in gens:
-        for i in range(g, limit):
-            if reach[i - g]:
-                reach[i] = 1
-    if not all(reach[limit - gens[0]:]):
-        raise BoundExceeded("sieve window too small to certify the gap set")
-    gaps = tuple(i for i in range(limit) if not reach[i])
+    alpha = gens[0]
+    cap = (alpha - 1) * (gens[-1] - 1) + alpha
+    reach = bytearray(b"\x01")
+    gaps = []
+    run = 1
+    while run < alpha:
+        i = len(reach)
+        if i >= cap:
+            raise BoundExceeded("no run of alpha reachable integers within Schur's bound")
+        if any(reach[i - g] for g in gens if g <= i):
+            reach.append(1)
+            run += 1
+        else:
+            reach.append(0)
+            gaps.append(i)
+            run = 0
     return NumericalSemigroup(gaps, gens)
 
 

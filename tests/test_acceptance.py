@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from scrollcurves.catalog import audit_fixture
+from scrollcurves.catalog import audit_fixture, build_catalog
 from scrollcurves.chow import (
     Ambient,
     DivisorClass,
@@ -45,6 +45,8 @@ from scrollcurves.semigroups import enumerate_genus, kappa_sets, recover_from_ka
 
 SWEEP_GENERA = range(4, 13)
 EXPECTED_COUNTS = {4: 7, 5: 12, 6: 23, 7: 39, 8: 67, 9: 118, 10: 204, 11: 343, 12: 592}
+# Bras-Amoros 2008 (OEIS A007323)
+HIGH_GENUS_COUNTS = {13: 1001, 14: 1693, 15: 2857, 16: 4806}
 
 _SWEEP: dict[int, list] = {}
 
@@ -295,4 +297,33 @@ def test_criterion_10_classical_families():
     print(
         "criterion 10 PASS: tetragonal bundle genus and trigonal surface "
         "genus reproduce g for g in [6, 40]"
+    )
+
+
+def test_criterion_11_high_genus_counts_and_genus13_catalog():
+    start = time.perf_counter()
+    for g, count in HIGH_GENUS_COUNTS.items():
+        assert len(enumerate_genus(g)) == count, g
+    rows = build_catalog([13])
+    assert len(rows) == HIGH_GENUS_COUNTS[13]
+    for row in rows:
+        curve = make_curve(row.exponents)
+        msd = min_scroll_dimension(row.canonical)
+        assert (msd <= 2) == (row.gonality <= 3), row.exponents
+        assert (msd == 3) == (row.gonality == 4), row.exponents
+        sections = canonical_section_exponents(curve)
+        assert len(sections) == 13
+        assert verify_dualizing_candidate(curve, sections)
+        if not dict(row.flags)["hyperelliptic"]:
+            assert 13 == row.g_prime + row.eta + row.mu, row.exponents
+        if row.eta == 1:
+            assert row.mu == 1, row.exponents
+        semigroup = curve.s_zero
+        assert recover_from_kappa_star(kappa_sets(semigroup).k_star) == semigroup
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0
+    print(
+        "criterion 11 PASS: genus 13-16 counts 1001, 1693, 2857, 4806; the "
+        "1001-row genus-13 catalog keeps the trigonal and tetragonal "
+        f"correspondences and the criterion 7 identities, in {elapsed:.1f}s"
     )

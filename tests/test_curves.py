@@ -3,6 +3,7 @@ gonality pencils, and the analysis record."""
 
 import pytest
 
+import scrollcurves.curves as curves_module
 from scrollcurves.curves import (
     SheafData,
     analyze,
@@ -24,8 +25,10 @@ from scrollcurves.errors import (
     GenusZero,
     NotIncreasing,
     NotUnibranchSingle,
+    PathsDisagree,
     ZeroExponent,
 )
+from scrollcurves.fixtures import fixture, fixture_names
 from scrollcurves.semigroups import enumerate_genus, kappa_sets, make_semigroup
 
 
@@ -178,6 +181,28 @@ class TestPencils:
         degree, n = gonality_pencil(make_curve((5, 6, 7, 8, 9)))
         assert degree == 2
         assert pencil_degree(make_curve((5, 6, 7, 8, 9)), n) == 2
+
+
+class TestPencilOracle:
+    def test_closed_form_matches_sheaf_route(self):
+        """Every pencil in the gonality window of the genus 1-8
+        representatives and of every bundled fixture curve."""
+        curves = [representative_curve(s) for g in range(1, 9) for s in enumerate_genus(g)]
+        curves += [make_curve(row.exponents) for name in fixture_names() for row in fixture(name)]
+        assert len(curves) == 155 + 74
+        for c in curves:
+            window = 2 * (c.s_zero.beta + c.s_infinity.beta + 1)
+            for n in range(-window, window + 1):
+                if n:
+                    expected = sheaf_degree_h0(c, (0, n)).degree
+                    assert pencil_degree(c, n) == expected, (c.exponents, n)
+
+    def test_winner_disagreement_is_reported(self, monkeypatch):
+        c = make_curve((4, 5, 7, 8))
+        wrong = SheafData(99, 0)
+        monkeypatch.setattr(curves_module, "sheaf_degree_h0", lambda curve, gens: wrong)
+        with pytest.raises(PathsDisagree):
+            gonality_pencil(c)
 
 
 class TestAnalysis:

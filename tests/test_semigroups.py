@@ -5,9 +5,13 @@ every candidate gap subset directly, and the named invariants are frozen
 from hand computations.
 """
 
+import math
+import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollcurves.errors import (
     BoundExceeded,
@@ -59,6 +63,30 @@ def brute_force_genus(genus: int) -> set[tuple[int, ...]]:
         if ok:
             found.add(gaps)
     return found
+
+
+def window_sieve_gaps(generators) -> tuple[int, ...]:
+    """Gap set by the fixed-window sieve, kept as a reference for the
+    streaming sieve of make_semigroup.
+
+    Reachability is sieved over [0, 4*max^2 + 4); the window is certified
+    complete when its top alpha integers are all reachable.
+    """
+    gens = sorted(set(generators))
+    limit = 4 * gens[-1] ** 2 + 4
+    reach = bytearray(limit)
+    reach[0] = 1
+    for g in gens:
+        for i in range(g, limit):
+            if reach[i - g]:
+                reach[i] = 1
+    assert all(reach[limit - gens[0]:]), "window too small to certify the gap set"
+    return tuple(i for i in range(limit) if not reach[i])
+
+
+gcd_one_generators = st.lists(
+    st.integers(min_value=1, max_value=40), min_size=1, max_size=6
+).filter(lambda gens: math.gcd(*gens) == 1)
 
 
 class TestValueSet:
@@ -160,6 +188,31 @@ class TestConstruction:
     def test_value_set(self):
         s = make_semigroup((4, 5, 7))
         assert s.value_set() == ValueSet((0, 4, 5), 7)
+
+
+class TestStreamingSieve:
+    @settings(max_examples=300, deadline=None)
+    @given(gcd_one_generators)
+    def test_matches_window_sieve(self, gens):
+        s = make_semigroup(gens)
+        assert s.gaps == window_sieve_gaps(gens)
+        assert s.generators == tuple(sorted(set(gens)))
+
+    @pytest.mark.parametrize(
+        "a, b", [(2, 3), (2, 7), (3, 4), (3, 5), (4, 9), (5, 7), (7, 11), (3, 1001)]
+    )
+    def test_sylvester_two_generators(self, a, b):
+        s = make_semigroup((a, b))
+        assert s.delta == (a - 1) * (b - 1) // 2
+        assert s.gamma == a * b - a - b
+
+    def test_large_top_generator_is_fast(self):
+        start = time.perf_counter()
+        s = make_semigroup((2, 50001))
+        elapsed = time.perf_counter() - start
+        assert s.delta == 25000
+        assert s.gamma == 49999
+        assert elapsed < 1.0
 
 
 class TestKappa:
