@@ -127,12 +127,12 @@ def format_exponents(exponents) -> str:
     return "(" + ":".join(parts) + ")"
 
 
-def _check_row(curve: MonomialCurve, row: CatalogRow) -> None:
-    """Structural identities every catalog row must satisfy."""
+def _check_row(curve: MonomialCurve, row: CatalogRow, msd: int) -> None:
+    """Structural identities every catalog row must satisfy; msd is the
+    minimum scroll dimension of the row's canonical exponents."""
     raw = canonical_section_exponents(curve)
     if not verify_dualizing_candidate(curve, raw):
         raise PathsDisagree(f"canonical sections of {row.exponents} fail the degree test")
-    msd = min_scroll_dimension(row.canonical)
     if row.genus >= 4 and (msd <= 2) != (row.gonality <= 3):
         raise PathsDisagree(
             f"{row.exponents}: scroll dimension {msd} and gonality {row.gonality} "
@@ -152,7 +152,8 @@ def row_for_curve(
     record = analyze(curve)
     canonical = normalize_values(record.canonical)
     gon = record.gonality
-    depth = scroll_dim if scroll_dim is not None else min_scroll_dimension(canonical)
+    msd = min_scroll_dimension(canonical)
+    depth = scroll_dim if scroll_dim is not None else msd
     structures = scroll_structures(canonical, depth)
     booleans = dict(record.flags)
     booleans["hyperelliptic"] = record.hyperelliptic
@@ -169,7 +170,7 @@ def row_for_curve(
         structures=structures,
         provenance=provenance,
     )
-    _check_row(curve, row)
+    _check_row(curve, row, msd)
     return row
 
 

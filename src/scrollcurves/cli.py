@@ -12,6 +12,7 @@ input), 3 audit discrepancy under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -221,8 +222,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process.
+
+    Building the tree costs about a millisecond, which matters only to a
+    process that calls `main` many times (a test suite, a benchmark); a
+    one-shot command line process builds it once either way and gains
+    nothing.  `build_parser` stays uncached for callers that want a fresh
+    tree.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -247,8 +247,17 @@ def pencil_degree(curve: MonomialCurve, n: int) -> int:
     stalk at infinity is S_inf together with S_inf - n, which gains the n
     values below 0 less the gaps of S_inf below n, plus one value for each
     gap of S_inf lying n below an element of S_inf.  Neither stalk loses
-    anything, so the degree is the sum of the three counts.  For n < 0 the
-    two points trade roles under t -> 1/t.  The result equals
+    anything, so the degree is the sum of the three counts.  Each count is
+    a popcount of the branches' gap masks G0 and G_inf:
+
+    * (G0 >> n) counts the gaps at least n, and (G0 & G0 << n) those whose
+      predecessor by n is also a gap;
+    * n - (G_inf & (2^n - 1)) counts the integers below n minus the gaps
+      among them;
+    * G_inf counts every gap, and (G_inf & G_inf >> n) those whose successor
+      by n is also a gap.
+
+    For n < 0 the two points trade roles under t -> 1/t.  The result equals
     `sheaf_degree_h0(curve, (0, n)).degree` without building a ValueSet.
 
     >>> pencil_degree(make_curve((4, 5, 7, 8)), 2)
@@ -259,11 +268,14 @@ def pencil_degree(curve: MonomialCurve, n: int) -> int:
     s0, si = curve.s_zero, curve.s_infinity
     if n < 0:
         s0, si, n = si, s0, -n
+    g0, gi = s0.gap_mask, si.gap_mask
     return (
-        sum(1 for g in s0.gaps if (g - n) in s0)
+        (g0 >> n).bit_count()
+        - (g0 & g0 << n).bit_count()
         + n
-        - sum(1 for g in si.gaps if g < n)
-        + sum(1 for g in si.gaps if (g + n) in si)
+        - (gi & ((1 << n) - 1)).bit_count()
+        + gi.bit_count()
+        - (gi & gi >> n).bit_count()
     )
 
 

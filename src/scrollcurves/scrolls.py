@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+from .semigroups import bitmask
+
 
 @dataclass(frozen=True)
 class ScrollType:
@@ -107,6 +109,16 @@ def _cut(run: tuple[int, ...], sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
     return pieces
 
 
+def _run_count(mask: int, size: int, step: int) -> int:
+    """Number of maximal step-runs of a set of the given size and mask.
+
+    A run of k elements holds k - 1 elements whose successor by the step
+    is also in the set, so the runs number size minus the popcount of
+    mask & mask >> step; it equals len(run_decomposition(set, step)).
+    """
+    return size - (mask & mask >> step).bit_count()
+
+
 def scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
     """All scroll structures with exactly d blocks on the given set.
 
@@ -116,6 +128,11 @@ def scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
     is reported once, at the base step).  Within one step, structures are
     identified by their multiset of block sizes; the representative split
     cuts each run in order, larger pieces first.
+
+    A step yields a structure exactly when it has at most d runs, except
+    that with d equal to the set size only the base step reports.  Run
+    counts come from a popcount of the set's bitmask (see `_run_count`),
+    so `run_decomposition` is called only for the steps that yield.
     """
     vals = tuple(sorted(set(int(v) for v in values)))
     n = len(vals)
@@ -127,12 +144,12 @@ def scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
         return (ScrollStructure(1, ((vals[0],),), 1),)
     kappa = math.gcd(*(v - vals[0] for v in vals))
     span = vals[-1] - vals[0]
-    singletons = (1,) * n
+    mask = bitmask(v - vals[0] for v in vals)
     out: list[ScrollStructure] = []
     for step in range(kappa, span + 1, kappa):
-        runs = run_decomposition(vals, step)
-        if len(runs) > d:
+        if _run_count(mask, n, step) > d or (d == n and step != kappa):
             continue
+        runs = run_decomposition(vals, step)
         seen: set[tuple[int, ...]] = set()
         for pieces_per_run in _compositions(d, len(runs)):
             if any(k > len(r) for k, r in zip(pieces_per_run, runs)):
@@ -143,8 +160,6 @@ def scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
             ]
             for choice in product(*split_menu):
                 sizes = tuple(sorted(s for comp in choice for s in comp))
-                if sizes == singletons and step != kappa:
-                    continue
                 if sizes in seen:
                     continue
                 seen.add(sizes)
@@ -156,7 +171,12 @@ def scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
 
 
 def min_scroll_dimension(values) -> int:
-    """Fewest blocks any step allows: the minimum scroll dimension."""
+    """Fewest blocks any step allows: the minimum scroll dimension.
+
+    This is the fewest maximal runs over the steps that are multiples of
+    the gcd of differences, each count a popcount of the set's bitmask
+    (see `_run_count`); no run is built.
+    """
     vals = tuple(sorted(set(int(v) for v in values)))
     if not vals:
         raise ValueError("the exponent set is empty")
@@ -164,9 +184,9 @@ def min_scroll_dimension(values) -> int:
         return 1
     kappa = math.gcd(*(v - vals[0] for v in vals))
     span = vals[-1] - vals[0]
+    mask = bitmask(v - vals[0] for v in vals)
     return min(
-        len(run_decomposition(vals, step))
-        for step in range(kappa, span + 1, kappa)
+        _run_count(mask, len(vals), step) for step in range(kappa, span + 1, kappa)
     )
 
 

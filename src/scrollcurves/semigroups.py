@@ -98,6 +98,26 @@ class ValueSet:
         return sum(1 for x in candidates if x not in other)
 
 
+def bitmask(offsets) -> int:
+    """The int with bit k set for each k in a collection of nonnegative ints.
+
+    One binary digit per integer up to the largest offset is written into a
+    bytearray, most significant first, and parsed once, so the cost is
+    linear in that offset (or-ing 1 << k per element would be quadratic).
+
+    >>> bin(bitmask((0, 2, 3)))
+    '0b1101'
+    """
+    offsets = tuple(offsets)
+    if not offsets:
+        return 0
+    top = max(offsets)
+    bits = bytearray(b"0") * (top + 1)
+    for k in offsets:
+        bits[top - k] = ord("1")
+    return int(bits, 2)
+
+
 class NumericalSemigroup:
     """A numerical semigroup stored through its finite gap set.
 
@@ -118,6 +138,9 @@ class NumericalSemigroup:
         Genus, the number of gaps.
     elements_below_conductor : tuple of int
         Every element up to and including the conductor.
+    gap_mask : int
+        The gap set as a bitmask, bit g set exactly for each gap g; built
+        on first use, in time linear in the conductor.
     """
 
     __slots__ = (
@@ -130,6 +153,7 @@ class NumericalSemigroup:
         "elements_below_conductor",
         "_small",
         "_minimal",
+        "_gap_mask",
     )
 
     def __init__(self, gaps, generators=None):
@@ -146,6 +170,7 @@ class NumericalSemigroup:
         self.elements_below_conductor = tuple(sorted(small))
         self.alpha = min((x for x in small if x > 0), default=1)
         self._minimal = None
+        self._gap_mask = None
         if generators is None:
             generators = self.minimal_generators
         self.generators = tuple(generators)
@@ -191,6 +216,12 @@ class NumericalSemigroup:
                         found.append(n)
                 self._minimal = tuple(found)
         return self._minimal
+
+    @property
+    def gap_mask(self) -> int:
+        if self._gap_mask is None:
+            self._gap_mask = bitmask(self.gaps)
+        return self._gap_mask
 
     def value_set(self) -> ValueSet:
         """The semigroup as a tailed set (tail starts at the conductor)."""

@@ -1,6 +1,8 @@
 """Tests for monomial curves: branch data, canonical sections, sheaves,
 gonality pencils, and the analysis record."""
 
+import random
+
 import pytest
 
 import scrollcurves.curves as curves_module
@@ -203,6 +205,45 @@ class TestPencilOracle:
         monkeypatch.setattr(curves_module, "sheaf_degree_h0", lambda curve, gens: wrong)
         with pytest.raises(PathsDisagree):
             gonality_pencil(c)
+
+
+def set_bits(mask: int) -> tuple[int, ...]:
+    return tuple(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+
+
+class TestMultiWordPencils:
+    """Gap masks spanning many 30-bit digits, where a shift carries bits
+    across digit boundaries."""
+
+    # exponents: (conductor at 0, conductor at infinity, gonality)
+    CURVES = {
+        (4, 5, 7, 101): (7, 1412, 56),
+        (5, 7, 61): (24, 654, 48),
+        (7, 60): (354, 3068, 59),
+        (3, 100): (198, 9504, 99),
+    }
+
+    @pytest.mark.parametrize("exponents", CURVES, ids=str)
+    def test_closed_form_matches_sheaf_route(self, exponents):
+        c = make_curve(exponents)
+        beta0, beta_inf, gon = self.CURVES[exponents]
+        assert (c.s_zero.beta, c.s_infinity.beta) == (beta0, beta_inf)
+        assert gonality(c) == gon
+        window = 2 * (beta0 + beta_inf + 1)
+        rng = random.Random(sum(exponents))
+        ns = {n for n in range(-64, 65) if n}
+        ns |= {rng.choice((1, -1)) * rng.randint(1, window) for _ in range(200)}
+        for n in sorted(ns):
+            expected = sheaf_degree_h0(c, (0, n)).degree
+            assert pencil_degree(c, n) == expected, (exponents, n)
+
+    def test_gap_mask_bits_are_the_gaps(self):
+        for genus in range(9):
+            for s in enumerate_genus(genus):
+                assert set_bits(s.gap_mask) == s.gaps
+        s = make_curve((3, 1001)).s_infinity
+        assert s.delta == 498500
+        assert set_bits(s.gap_mask) == s.gaps
 
 
 class TestAnalysis:

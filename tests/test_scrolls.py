@@ -1,16 +1,90 @@
 """Tests for run decompositions, scroll structures, and the minor check."""
 
-import pytest
+import math
+from functools import cache
+from itertools import product
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scrollcurves.curves import canonical_exponents, representative_curve
 from scrollcurves.scrolls import (
     ScrollStructure,
     ScrollType,
+    _compositions,
+    _cut,
+    _run_count,
     min_scroll_dimension,
     minor_check,
     run_decomposition,
     scroll_structures,
     structure_ell,
 )
+from scrollcurves.semigroups import bitmask, enumerate_genus
+
+
+@cache
+def canonical_sets() -> tuple[tuple[int, ...], ...]:
+    """Normalized canonical exponents of every genus 1-10 representative."""
+    return tuple(
+        canonical_exponents(representative_curve(s))
+        for genus in range(1, 11)
+        for s in enumerate_genus(genus)
+    )
+
+
+def reference_min_scroll_dimension(values) -> int:
+    """Fewest runs over every step, each decomposition built in full."""
+    vals = sorted(set(values))
+    if len(vals) == 1:
+        return 1
+    kappa = math.gcd(*(v - vals[0] for v in vals))
+    return min(
+        len(run_decomposition(vals, step))
+        for step in range(kappa, vals[-1] - vals[0] + 1, kappa)
+    )
+
+
+def reference_scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
+    """scroll_structures without the run-count skip: every step's runs are
+    built and every step goes through the composition search."""
+    vals = tuple(sorted(set(values)))
+    n = len(vals)
+    if n == 1:
+        return (ScrollStructure(1, ((vals[0],),), 1),)
+    kappa = math.gcd(*(v - vals[0] for v in vals))
+    singletons = (1,) * n
+    out = []
+    for step in range(kappa, vals[-1] - vals[0] + 1, kappa):
+        runs = run_decomposition(vals, step)
+        if len(runs) > d:
+            continue
+        seen = set()
+        for pieces_per_run in _compositions(d, len(runs)):
+            if any(k > len(r) for k, r in zip(pieces_per_run, runs)):
+                continue
+            split_menu = [
+                list(_compositions(len(r), k)) for r, k in zip(runs, pieces_per_run)
+            ]
+            for choice in product(*split_menu):
+                sizes = tuple(sorted(x for comp in choice for x in comp))
+                if (sizes == singletons and step != kappa) or sizes in seen:
+                    continue
+                seen.add(sizes)
+                blocks = []
+                for run, comp in zip(runs, choice):
+                    blocks.extend(_cut(run, comp))
+                out.append(ScrollStructure(step, tuple(blocks), kappa))
+    return tuple(out)
+
+
+def assert_run_counts(values) -> None:
+    vals = sorted(set(values))
+    mask = bitmask(v - vals[0] for v in vals)
+    for step in range(1, vals[-1] - vals[0] + 2):
+        expected = len(run_decomposition(vals, step))
+        assert _run_count(mask, len(vals), step) == expected, (vals, step)
 
 
 class TestRuns:
@@ -92,6 +166,29 @@ class TestStructures:
         assert scroll_structures(values, 2) != ()
         assert scroll_structures(values, 3) != ()
         assert scroll_structures(values, 4) != ()
+
+
+class TestRunCountOracle:
+    def test_canonical_sets(self):
+        assert len(canonical_sets()) == 477
+        for values in canonical_sets():
+            assert_run_counts(values)
+            assert min_scroll_dimension(values) == reference_min_scroll_dimension(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.integers(-40, 40), min_size=1, max_size=10))
+    def test_random_sets(self, values):
+        assert_run_counts(values)
+        assert min_scroll_dimension(values) == reference_min_scroll_dimension(values)
+        for d in range(1, len(values) + 1):
+            assert scroll_structures(values, d) == reference_scroll_structures(values, d)
+
+    def test_structures_match_unskipped_search(self):
+        for values in canonical_sets():
+            for d in range(1, len(values) + 1):
+                assert scroll_structures(values, d) == reference_scroll_structures(
+                    values, d
+                ), (values, d)
 
 
 class TestMinors:
