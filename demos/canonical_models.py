@@ -12,7 +12,6 @@ from scrollcurves import (
     canonical_section_exponents,
     format_exponents,
     make_curve,
-    normalize_values,
     sheaf_degree_h0,
     verify_dualizing_candidate,
 )
@@ -31,9 +30,8 @@ def main() -> None:
         record = analyze(curve)
         sections = canonical_section_exponents(curve)
         sheaf = sheaf_degree_h0(curve, sections)
-        canon = normalize_values(record.canonical)
         print(f"C  = {curve}")
-        print(f"C' = {format_exponents(canon)}")
+        print(f"C' = {format_exponents(record.canonical)}")
         print(f"  genus {record.genus}, gonality {record.gonality}, label {record.label}")
         print(f"  eta={record.eta} mu={record.mu} g'={record.g_prime}")
         print(f"  dualizing sheaf: degree {sheaf.degree}, h0 {sheaf.h0}, "

@@ -16,7 +16,6 @@ from scrollcurves import (
     gonality_pencil,
     make_curve,
     min_scroll_dimension,
-    normalize_values,
     representative_curve,
     scroll_structures,
 )
@@ -26,7 +25,7 @@ def show_curve(exponents) -> None:
     curve = make_curve(exponents)
     record = analyze(curve)
     degree, pencil_n = gonality_pencil(curve)
-    canon = normalize_values(record.canonical)
+    canon = record.canonical
     print(f"C = {curve}: gonality {degree} via the pencil at n={pencil_n}")
     for d in range(min_scroll_dimension(canon), 4):
         for s in scroll_structures(canon, d):
@@ -41,8 +40,7 @@ def sweep(low: int, high: int) -> None:
     for genus in range(low, high + 1):
         for semigroup in enumerate_genus(genus):
             record = analyze(representative_curve(semigroup))
-            canon = normalize_values(record.canonical)
-            tally[(min_scroll_dimension(canon), record.gonality)] += 1
+            tally[(min_scroll_dimension(record.canonical), record.gonality)] += 1
     print(f"(scroll dim, gonality) over genus {low}..{high}:")
     for key in sorted(tally):
         print(f"  {key}: {tally[key]}")

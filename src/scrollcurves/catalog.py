@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .curves import (
+    CurveAnalysis,
     MonomialCurve,
     analyze,
     canonical_exponents,
@@ -24,7 +25,6 @@ from .curves import (
     equal_up_to_reversal,
     gonality,
     make_curve,
-    normalize_values,
     representative_curve,
     verify_dualizing_candidate,
 )
@@ -33,45 +33,14 @@ from .fixtures import FixtureRow, fixture
 from .scrolls import ScrollStructure, min_scroll_dimension, scroll_structures
 from .semigroups import DEFAULT_GENUS_BOUND, enumerate_genus
 
-FLAG_NAMES = (
-    "gorenstein",
-    "hyperelliptic",
-    "nearly_normal",
-    "kunz",
-    "almost_gorenstein",
-    "nearly_gorenstein",
-)
-
-LABELS = (
-    ("gorenstein", "Gor"),
-    ("nearly_normal", "NN"),
-    ("kunz", "K"),
-    ("nearly_gorenstein", "NG"),
-)
-
 
 @dataclass(frozen=True)
-class CatalogRow:
-    """One catalog entry: a curve with its computed invariants."""
+class CatalogRow(CurveAnalysis):
+    """One catalog entry: a curve's invariant record with the scroll
+    structures of its canonical model and where the curve came from."""
 
-    exponents: tuple[int, ...]
-    genus: int
-    gonality: int
-    eta: int
-    mu: int
-    g_prime: int
-    flags: tuple[tuple[str, bool], ...]
-    canonical: tuple[int, ...]
     structures: tuple[ScrollStructure, ...]
     provenance: str
-
-    @property
-    def label(self) -> str:
-        flags = dict(self.flags)
-        for key, text in LABELS:
-            if flags[key]:
-                return text
-        return "--"
 
     def to_dict(self) -> dict:
         return {
@@ -127,22 +96,42 @@ def format_exponents(exponents) -> str:
     return "(" + ":".join(parts) + ")"
 
 
-def _check_row(curve: MonomialCurve, row: CatalogRow, msd: int) -> None:
-    """Structural identities every catalog row must satisfy; msd is the
-    minimum scroll dimension of the row's canonical exponents."""
-    raw = canonical_section_exponents(curve)
-    if not verify_dualizing_candidate(curve, raw):
-        raise PathsDisagree(f"canonical sections of {row.exponents} fail the degree test")
-    if row.genus >= 4 and (msd <= 2) != (row.gonality <= 3):
+def check_scroll_correspondence(exponents, genus: int, gon: int, msd: int) -> None:
+    """Raise PathsDisagree unless the minimum scroll dimension msd of a
+    curve's canonical model and its gonality gon agree with the theorem:
+    from genus 4 on, msd <= 2 exactly when gon <= 3, and from genus 5 on,
+    msd == 3 exactly when gon == 4."""
+    if genus >= 4 and (msd <= 2) != (gon <= 3):
         raise PathsDisagree(
-            f"{row.exponents}: scroll dimension {msd} and gonality {row.gonality} "
+            f"{exponents}: scroll dimension {msd} and gonality {gon} "
             "break the trigonal correspondence"
         )
-    if row.genus >= 5 and (msd == 3) != (row.gonality == 4):
+    if genus >= 5 and (msd == 3) != (gon == 4):
         raise PathsDisagree(
-            f"{row.exponents}: scroll dimension {msd} and gonality {row.gonality} "
+            f"{exponents}: scroll dimension {msd} and gonality {gon} "
             "break the tetragonal correspondence"
         )
+
+
+def _catalog_row(
+    curve: MonomialCurve,
+    record: CurveAnalysis,
+    msd: int,
+    provenance: str,
+    scroll_dim: int | None,
+) -> CatalogRow:
+    """The row of an analyzed curve whose canonical model has minimum
+    scroll dimension msd, with the structural identities checked."""
+    raw = canonical_section_exponents(curve)
+    if not verify_dualizing_candidate(curve, raw):
+        raise PathsDisagree(f"canonical sections of {record.exponents} fail the degree test")
+    check_scroll_correspondence(record.exponents, record.genus, record.gonality, msd)
+    depth = scroll_dim if scroll_dim is not None else msd
+    return CatalogRow(
+        **vars(record),
+        structures=scroll_structures(record.canonical, depth),
+        provenance=provenance,
+    )
 
 
 def row_for_curve(
@@ -150,28 +139,8 @@ def row_for_curve(
 ) -> CatalogRow:
     """The catalog row of a single curve, invariant checks included."""
     record = analyze(curve)
-    canonical = normalize_values(record.canonical)
-    gon = record.gonality
-    msd = min_scroll_dimension(canonical)
-    depth = scroll_dim if scroll_dim is not None else msd
-    structures = scroll_structures(canonical, depth)
-    booleans = dict(record.flags)
-    booleans["hyperelliptic"] = record.hyperelliptic
-    flags = tuple((name, bool(booleans[name])) for name in FLAG_NAMES)
-    row = CatalogRow(
-        exponents=curve.exponents,
-        genus=curve.genus,
-        gonality=gon,
-        eta=record.eta,
-        mu=record.mu,
-        g_prime=record.g_prime,
-        flags=flags,
-        canonical=canonical,
-        structures=structures,
-        provenance=provenance,
-    )
-    _check_row(curve, row, msd)
-    return row
+    msd = min_scroll_dimension(record.canonical)
+    return _catalog_row(curve, record, msd, provenance, scroll_dim)
 
 
 def build_catalog(
@@ -187,7 +156,9 @@ def build_catalog(
     bundled two-point exponent tuples instead, since those curves do not
     admit a bounded exhaustive enumeration.  `scroll_dim` keeps only rows
     whose canonical model needs a scroll of exactly that dimension, and
-    row structures are computed at that dimension.
+    row structures are computed at that dimension.  The filters run
+    cheapest first, the scroll dimension before `analyze`, and every
+    invariant of a kept row is computed once.
     """
     genera = sorted({int(g) for g in genus_range})
     if genera and genera[-1] > DEFAULT_GENUS_BOUND:
@@ -216,15 +187,13 @@ def build_catalog(
     provenance = "computed" if singular_points == 1 else "fixture"
     rows = []
     for curve in curves.values():
-        if non_gorenstein or scroll_dim is not None:
-            canonical = normalize_values(canonical_exponents(curve))
-            if scroll_dim is not None and min_scroll_dimension(canonical) != scroll_dim:
-                continue
-        if non_gorenstein:
-            record = analyze(curve)
-            if record.eta == 0:
-                continue
-        rows.append(row_for_curve(curve, provenance, scroll_dim))
+        msd = min_scroll_dimension(canonical_exponents(curve))
+        if scroll_dim is not None and msd != scroll_dim:
+            continue
+        record = analyze(curve)
+        if non_gorenstein and record.eta == 0:
+            continue
+        rows.append(_catalog_row(curve, record, msd, provenance, scroll_dim))
     rows.sort(key=lambda r: (r.genus, r.exponents))
     return rows
 
@@ -250,18 +219,18 @@ def _audit_row(name: str, row: FixtureRow) -> FlagRecord | None:
     genus = _table_genus(name)
     if curve.genus != genus:
         return FlagRecord(row, "genus", genus, curve.genus)
-    canonical = normalize_values(canonical_exponents(curve))
-    printed = normalize_values(tuple(sorted(row.canonical)))
-    if not equal_up_to_reversal(canonical, printed):
+    canonical = canonical_exponents(curve)
+    if not equal_up_to_reversal(canonical, row.canonical):
         return FlagRecord(row, "canonical", row.canonical, canonical)
-    gon = gonality(curve)
+    surface = name.startswith("surface")
+    record = analyze(curve) if surface else None
+    gon = record.gonality if surface else gonality(curve)
     if gon != row.gonality:
         return FlagRecord(row, "gonality", row.gonality, gon)
     structures = scroll_structures(canonical, _table_dimension(name))
-    if name.startswith("surface"):
-        label = analyze(curve).label
-        if label != row.label:
-            return FlagRecord(row, "label", row.label, label)
+    if surface:
+        if record.label != row.label:
+            return FlagRecord(row, "label", row.label, record.label)
         pairs = sorted({(s.m_min, s.ell) for s in structures})
         if (row.m, row.ell) not in pairs:
             return FlagRecord(row, "ell", (row.m, row.ell), pairs)

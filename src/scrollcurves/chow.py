@@ -354,16 +354,12 @@ def pa_from_bundle(amb: Ambient, b: RankTwoBundleClass) -> int:
     return int(path_a)
 
 
-def genus_on_surface(degree: int, n: int, ell: int | None = None, mode: str = "smooth") -> int:
-    """Arithmetic genus of a degree-`degree` curve on a surface scroll
-    spanning P^n, meeting a fiber ell times (smooth mode), or on the cone
-    over a rational normal curve (cone mode, ell ignored)."""
-    if mode == "cone":
-        return genus_on_cone(degree, n)
-    if mode != "smooth":
-        raise ValueError(f"mode must be smooth or cone, got {mode!r}")
+def genus_on_surface(degree: int, n: int, ell: int | None = None) -> int:
+    """Arithmetic genus of a degree-`degree` curve on a smooth surface
+    scroll spanning P^n, meeting a fiber ell times (see `genus_on_cone`
+    for the cone over a rational normal curve)."""
     if degree < 1 or n < 3 or ell is None or ell < 1:
-        raise ValueError("smooth mode needs degree >= 1, n >= 3, ell >= 1")
+        raise ValueError("a surface scroll curve needs degree >= 1, n >= 3, ell >= 1")
     twice = (2 * ell - 2) * degree - (n - 1) * ell ** 2 + (n - 3) * ell
     if twice % 2 != 0:
         raise NonIntegralGenus(
@@ -384,7 +380,7 @@ def genus_on_cone(degree: int, n: int) -> int:
     """Arithmetic genus of a degree-`degree` curve on the cone over a
     rational normal curve spanning P^n."""
     if degree < 1 or n < 3:
-        raise ValueError("cone mode needs degree >= 1, n >= 3")
+        raise ValueError("a curve on a cone needs degree >= 1, n >= 3")
     q = ceil(Fraction(degree, n - 1))
     twice_term = q * (q - 1) * (n - 1)
     if twice_term % 2 != 0:

@@ -19,12 +19,13 @@ import sys
 from .catalog import (
     audit_fixture,
     build_catalog,
+    check_scroll_correspondence,
     format_exponents,
     render,
     row_for_curve,
 )
 from .chow import Ambient, DivisorClass, RankTwoBundleClass, euler_characteristic, pa_from_bundle
-from .curves import canonical_exponents, make_curve, normalize_values
+from .curves import canonical_exponents, gonality, make_curve
 from .errors import ScrollCurvesError
 from .fixtures import fixture_names
 from .scrolls import min_scroll_dimension, scroll_structures
@@ -86,20 +87,25 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
-    curve = make_curve(args.exponents)
-    canon = normalize_values(canonical_exponents(curve))
-    print(format_exponents(canon))
+    print(format_exponents(canonical_exponents(make_curve(args.exponents))))
     return 0
 
 
 def _cmd_gonality(args) -> int:
-    print(row_for_curve(make_curve(args.exponents)).gonality)
+    """Print the gonality after checking it against the scroll dimension of
+    the canonical model, as every catalog row does; nothing else of the
+    row is computed."""
+    curve = make_curve(args.exponents)
+    gon = gonality(curve)
+    msd = min_scroll_dimension(canonical_exponents(curve))
+    check_scroll_correspondence(curve.exponents, curve.genus, gon, msd)
+    print(gon)
     return 0
 
 
 def _cmd_scrolls(args) -> int:
     curve = make_curve(args.exponents)
-    canon = normalize_values(canonical_exponents(curve))
+    canon = canonical_exponents(curve)
     msd = min_scroll_dimension(canon)
     print("canonical exponents:", " ".join(map(str, canon)))
     print("min scroll dimension:", msd)

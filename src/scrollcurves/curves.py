@@ -36,15 +36,17 @@ class MonomialCurve:
 
     s_zero is generated by the exponents themselves (values of functions at
     t = 0), s_infinity by the drops from the top exponent (values at
-    t = infinity, where 1/t is the local parameter).
+    t = infinity, where 1/t is the local parameter).  The canonical
+    exponents are kept too, once `canonical_exponents` has computed them.
     """
 
-    __slots__ = ("exponents", "_s_zero", "_s_infinity")
+    __slots__ = ("exponents", "_s_zero", "_s_infinity", "_canonical")
 
     def __init__(self, exponents: tuple[int, ...]):
         self.exponents = exponents
         self._s_zero = None
         self._s_infinity = None
+        self._canonical = None
 
     @property
     def s_zero(self) -> NumericalSemigroup:
@@ -87,9 +89,6 @@ class MonomialCurve:
     def __str__(self) -> str:
         inside = ":".join(f"t^{a}" for a in self.exponents)
         return f"(1:{inside})"
-
-    def to_dict(self) -> dict:
-        return {"exponents": list(self.exponents)}
 
 
 def make_curve(exponents) -> MonomialCurve:
@@ -182,11 +181,15 @@ def canonical_exponents(curve: MonomialCurve) -> tuple[int, ...]:
     """Normalized canonical exponents (smallest shifted to 0).
 
     For a curve with a smooth point at infinity this is exactly the finite
-    dual part of the semigroup at the other point.
+    dual part of the semigroup at the other point.  They are computed once
+    per curve object, so a catalog filter that reads them before `analyze`
+    does not make `analyze` compute them again.
     """
-    if curve.genus == 0:
-        raise GenusZero(f"{curve} has genus 0, no canonical sections")
-    return normalize_values(canonical_section_exponents(curve))
+    if curve._canonical is None:
+        if curve.genus == 0:
+            raise GenusZero(f"{curve} has genus 0, no canonical sections")
+        curve._canonical = normalize_values(canonical_section_exponents(curve))
+    return curve._canonical
 
 
 @dataclass(frozen=True)
@@ -315,9 +318,22 @@ def _canonical_fold(canonical: tuple[int, ...]) -> int:
     return math.gcd(*canonical) if canonical else 0
 
 
+LABELS = (
+    ("gorenstein", "Gor"),
+    ("nearly_normal", "NN"),
+    ("kunz", "K"),
+    ("nearly_gorenstein", "NG"),
+)
+
+
 @dataclass(frozen=True)
 class CurveAnalysis:
-    """Everything the catalog records about one curve."""
+    """Everything the catalog records about one curve.
+
+    flags maps each classification name to its truth value, in the order
+    catalog JSON prints them: gorenstein, hyperelliptic, nearly_normal,
+    kunz, almost_gorenstein, nearly_gorenstein.
+    """
 
     exponents: tuple[int, ...]
     genus: int
@@ -329,34 +345,14 @@ class CurveAnalysis:
     flags: dict
     eta_branches: tuple[int, int]
     mu_branches: tuple[int, int]
-    hyperelliptic: bool
 
     @property
     def label(self) -> str:
-        f = self.flags
-        if f["gorenstein"]:
-            return "Gor"
-        if f["nearly_normal"]:
-            return "NN"
-        if f["kunz"]:
-            return "K"
-        if f["nearly_gorenstein"]:
-            return "NG"
+        """The first of Gor, NN, K, NG whose flag holds, else --."""
+        for key, text in LABELS:
+            if self.flags[key]:
+                return text
         return "--"
-
-    def to_dict(self) -> dict:
-        return {
-            "exponents": list(self.exponents),
-            "genus": self.genus,
-            "g_prime": self.g_prime,
-            "eta": self.eta,
-            "mu": self.mu,
-            "gonality": self.gonality,
-            "canonical": list(self.canonical),
-            "flags": dict(self.flags),
-            "label": self.label,
-            "hyperelliptic": self.hyperelliptic,
-        }
 
 
 def analyze(curve: MonomialCurve) -> CurveAnalysis:
@@ -390,10 +386,11 @@ def analyze(curve: MonomialCurve) -> CurveAnalysis:
                 )
     flags = {
         "gorenstein": eta == 0,
+        "hyperelliptic": g >= 2 and fold == 2,
+        "nearly_normal": sum(s.beta - s.delta for s in branches) == 1,
         "kunz": all(e == 1 for e in eta_b if e > 0),
         "almost_gorenstein": all(m == 1 for m in mu_b if m > 0),
         "nearly_gorenstein": mu == 1,
-        "nearly_normal": sum(s.beta - s.delta for s in branches) == 1,
     }
     return CurveAnalysis(
         exponents=curve.exponents,
@@ -406,7 +403,6 @@ def analyze(curve: MonomialCurve) -> CurveAnalysis:
         flags=flags,
         eta_branches=eta_b,
         mu_branches=mu_b,
-        hyperelliptic=(g >= 2 and fold == 2),
     )
 
 

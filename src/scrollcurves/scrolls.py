@@ -14,26 +14,8 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+from .chow import Ambient
 from .semigroups import bitmask
-
-
-@dataclass(frozen=True)
-class ScrollType:
-    """Multiset of scroll dimensions m_i, stored sorted ascending."""
-
-    dims: tuple[int, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.dims)
-
-    @property
-    def e(self) -> int:
-        return sum(self.dims)
-
-    @property
-    def ambient_dimension(self) -> int:
-        return self.e + self.d - 1
 
 
 @dataclass(frozen=True)
@@ -54,8 +36,10 @@ class ScrollStructure:
         return self.step // self.kappa
 
     @property
-    def scroll_type(self) -> ScrollType:
-        return ScrollType(tuple(sorted(len(b) - 1 for b in self.blocks)))
+    def scroll_type(self) -> Ambient:
+        """The scroll the blocks span: one dimension per block, its size
+        less one (an Ambient sorts them ascending)."""
+        return Ambient(tuple(len(b) - 1 for b in self.blocks))
 
     @property
     def m_min(self) -> int:
@@ -188,10 +172,6 @@ def min_scroll_dimension(values) -> int:
     return min(
         _run_count(mask, len(vals), step) for step in range(kappa, span + 1, kappa)
     )
-
-
-def structure_ell(structure: ScrollStructure) -> int:
-    return structure.ell
 
 
 def minor_check(values, blocks, step: int) -> bool:

@@ -227,9 +227,6 @@ class NumericalSemigroup:
         """The semigroup as a tailed set (tail starts at the conductor)."""
         return ValueSet(self.elements_below_conductor, self.beta)
 
-    def to_dict(self) -> dict:
-        return {"generators": list(self.generators), "gaps": list(self.gaps)}
-
 
 def make_semigroup(generators) -> NumericalSemigroup:
     """Build the numerical semigroup generated by the given integers.

@@ -212,7 +212,7 @@ def test_criterion_07_structural_identities():
             sections = canonical_section_exponents(curve)
             assert len(sections) == g
             assert verify_dualizing_candidate(curve, sections)
-            if not record.hyperelliptic:
+            if not record.flags["hyperelliptic"]:
                 assert g == record.g_prime + record.eta + record.mu, curve.exponents
             if record.eta == 1:
                 assert record.mu == 1, curve.exponents

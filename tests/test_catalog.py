@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from scrollcurves import catalog as catalog_module
+from scrollcurves import curves as curves_module
 from scrollcurves.catalog import (
     AuditReport,
     CatalogRow,
@@ -15,10 +17,11 @@ from scrollcurves.catalog import (
     format_exponents,
     render,
 )
-from scrollcurves.curves import make_curve
+from scrollcurves.curves import analyze, canonical_exponents, make_curve, representative_curve
 from scrollcurves.errors import BoundExceeded, UnknownFixture
 from scrollcurves.fixtures import fixture, fixture_names
 from scrollcurves.scrolls import min_scroll_dimension
+from scrollcurves.semigroups import enumerate_genus
 
 TABLE_SHAPES = {
     "surface-g4": (4, 0),
@@ -252,3 +255,59 @@ class TestRender:
         assert format_exponents((1, 2)) == "(1:t:t^2)"
         assert format_exponents((0, 2, 3, 4)) == "(1:t^2:t^3:t^4)"
         assert format_exponents((0, 1, 2, -3)) == "(1:t:t^2:t^-3)"
+
+
+def count_calls(monkeypatch, modules, name, log):
+    """Replace `name` on each module by one wrapper that appends its first
+    argument to `log` before calling the original."""
+    original = getattr(modules[0], name)
+
+    def wrapper(first, *args, **kwargs):
+        log.append(first)
+        return original(first, *args, **kwargs)
+
+    for module in modules:
+        assert getattr(module, name) is original
+        monkeypatch.setattr(module, name, wrapper)
+
+
+class TestComputeOnce:
+    """Each invariant of a curve is computed once per catalog row or
+    audited fixture row."""
+
+    def test_filtered_catalog_analyzes_each_curve_at_most_once(self, monkeypatch):
+        curves = [
+            representative_curve(s) for g in range(4, 9) for s in enumerate_genus(g)
+        ]
+        assert len(curves) == 148
+        rejected = {
+            c.exponents for c in curves if min_scroll_dimension(canonical_exponents(c)) != 3
+        }
+        analyzed, measured = [], []
+        count_calls(monkeypatch, (catalog_module,), "analyze", analyzed)
+        count_calls(monkeypatch, (catalog_module,), "min_scroll_dimension", measured)
+        rows = build_catalog(range(4, 9), non_gorenstein=True, scroll_dim=3)
+        assert len(rows) == 55
+        exponents = [c.exponents for c in analyzed]
+        assert len(exponents) == len(set(exponents)) == 148 - len(rejected)
+        assert not rejected & set(exponents)
+        assert len(measured) == 148
+
+    def test_surface_audits_run_gonality_once_per_row(self, monkeypatch):
+        calls = []
+        count_calls(monkeypatch, (curves_module, catalog_module), "gonality", calls)
+        total = 0
+        for name in fixture_names():
+            before = len(calls)
+            report = audit_fixture(name)
+            early = sum(f.field in ("genus", "canonical") for f in report.flagged)
+            assert len(calls) - before == report.total - early, name
+            total += len(calls) - before
+        assert total == 62
+
+    def test_analyze_succeeds_on_every_fixture_curve(self):
+        rows = [row for name in fixture_names() for row in fixture(name)]
+        assert len(rows) == 74
+        for row in rows:
+            curve = make_curve(row.exponents)
+            assert analyze(curve).genus == curve.genus

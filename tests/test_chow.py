@@ -254,17 +254,12 @@ class TestGenusFormulas:
     def test_cone_quartic(self):
         assert genus_on_cone(4, 3) == 1
 
-    def test_cone_mode_alias(self):
-        assert genus_on_surface(4, 3, mode="cone") == 1
-
     def test_elliptic_on_quadric(self):
         assert genus_on_surface(4, 3, 2) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             genus_on_surface(3, 3)
-        with pytest.raises(ValueError):
-            genus_on_surface(3, 3, 1, mode="bent")
         with pytest.raises(ValueError):
             genus_on_cone(0, 3)
 

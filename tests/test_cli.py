@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from scrollcurves import cli as cli_module
 from scrollcurves.cli import main
 
 
@@ -51,6 +53,22 @@ class TestSingleValueCommands:
     def test_gonality(self, capsys):
         code, out, _ = run_cli("gonality", "--exponents", "3,7,8", capsys=capsys)
         assert (code, out.strip()) == (0, "3")
+
+    def test_gonality_of_a_wide_curve_skips_the_row(self, capsys):
+        # genus 4,851; the whole row (mu, scroll structures, the dualizing
+        # certificate) takes seconds, the answer alone a fraction of one
+        start = time.perf_counter()
+        code, out, _ = run_cli("gonality", "--exponents", "3,100", capsys=capsys)
+        elapsed = time.perf_counter() - start
+        assert (code, out.strip()) == (0, "99")
+        assert elapsed < 2.0
+
+    def test_gonality_checks_the_scroll_correspondence(self, capsys, monkeypatch):
+        # 3,7,8 has genus 4, gonality 3 and minimum scroll dimension 2
+        monkeypatch.setattr(cli_module, "min_scroll_dimension", lambda values: 3)
+        code, out, err = run_cli("gonality", "--exponents", "3,7,8", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "trigonal correspondence" in err
 
     def test_scrolls(self, capsys):
         code, out, _ = run_cli(

@@ -253,7 +253,7 @@ class TestAnalysis:
         assert a.g_prime == 0
         assert a.eta == 2 and a.eta_branches == (1, 1)
         assert a.mu == 2 and a.mu_branches == (1, 1)
-        assert not a.hyperelliptic
+        assert not a.flags["hyperelliptic"]
 
     def test_one_point_record(self):
         a = analyze(make_curve((4, 6, 7, 8, 9)))
@@ -269,7 +269,7 @@ class TestAnalysis:
         a = analyze(representative_curve(make_semigroup((2, 11))))
         assert a.exponents == (2, 10, 11)
         assert a.genus == 5
-        assert a.hyperelliptic
+        assert a.flags["hyperelliptic"]
         assert a.g_prime == 0
         assert a.canonical == (0, 2, 4, 6, 8)
         assert a.label == "Gor"
@@ -283,7 +283,7 @@ class TestAnalysis:
         for genus in range(2, 8):
             for s in enumerate_genus(genus):
                 a = analyze(representative_curve(s))
-                if not a.hyperelliptic:
+                if not a.flags["hyperelliptic"]:
                     assert a.genus == a.g_prime + a.eta + a.mu
 
     def test_low_genus_records(self):

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scrollcurves.chow import Ambient
 from scrollcurves.curves import canonical_exponents, representative_curve
 from scrollcurves.scrolls import (
     ScrollStructure,
-    ScrollType,
     _compositions,
     _cut,
     _run_count,
@@ -19,7 +19,6 @@ from scrollcurves.scrolls import (
     minor_check,
     run_decomposition,
     scroll_structures,
-    structure_ell,
 )
 from scrollcurves.semigroups import bitmask, enumerate_genus
 
@@ -137,12 +136,12 @@ class TestStructures:
         assert len(structures) == 1
         s = structures[0]
         assert s.step == 2 and s.kappa == 2
-        assert s.ell == 1 and structure_ell(s) == 1
+        assert s.ell == 1
 
     def test_scroll_type_properties(self):
         s = scroll_structures((0, 1, 2, 3), 2)[0]
         t = s.scroll_type
-        assert t == ScrollType((0, 2))
+        assert t == Ambient((0, 2))
         assert t.d == 2 and t.e == 2 and t.ambient_dimension == 3
 
     def test_genus_six_threefold_row(self):
