@@ -137,9 +137,13 @@ def _catalog_row(
 def row_for_curve(
     curve: MonomialCurve, provenance: str = "computed", scroll_dim: int | None = None
 ) -> CatalogRow:
-    """The catalog row of a single curve, invariant checks included."""
+    """The catalog row of a single curve, invariant checks included.
+
+    The canonical model is computed first, so a curve of genus 0 raises
+    GenusZero, as the canonical, gonality and scrolls commands do.
+    """
+    msd = min_scroll_dimension(canonical_exponents(curve))
     record = analyze(curve)
-    msd = min_scroll_dimension(record.canonical)
     return _catalog_row(curve, record, msd, provenance, scroll_dim)
 
 

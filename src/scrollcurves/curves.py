@@ -23,11 +23,11 @@ from .errors import (
 )
 from .semigroups import (
     NumericalSemigroup,
-    ValueSet,
     eta_local,
     kappa_sets,
     make_semigroup,
     mu_local,
+    reverse_bits,
 )
 
 
@@ -204,34 +204,37 @@ def sheaf_degree_h0(curve: MonomialCurve, generator_exponents) -> SheafData:
     """Invariants of the subsheaf of the function field spanned by the
     monomials t^b over the coordinate ring.
 
-    The local stalk at each point is a union of shifted semigroups, built
-    as ValueSets; degree contributions are counted with sign (stalk gains
-    minus stalk losses against the semigroup itself), so negative shifts
-    are handled uniformly.  This general route certifies the dualizing
-    sheaf, re-derives the degree of every winning gonality pencil, and is
-    the oracle the tests hold the closed form of `pencil_degree` to.
+    The local stalk at each point is a union of shifted semigroups: at
+    t = 0 the union of S0 + b, at infinity the union of S_inf - b, each
+    built as one or of the shifted semigroup masks (`ValueSet.shifted_union`)
+    and normalized once.  Degree contributions are counted with sign (stalk
+    gains minus stalk losses against the semigroup itself, each a popcount),
+    so negative shifts are handled uniformly.  The sections are the c with
+    c in the stalk at 0 and -c in the stalk at infinity; both sets are read
+    as masks over [min stalk0, -min stalk_inf], the second bit-reversed, and
+    h0 is the popcount of their and.  This general route certifies the
+    dualizing sheaf, re-derives the degree of every winning gonality pencil,
+    and is the oracle the tests hold the closed form of `pencil_degree` to.
     """
     gens = sorted(set(int(b) for b in generator_exponents))
     if not gens:
         raise ValueError("at least one generator exponent is required")
     vs0 = curve.s_zero.value_set()
     vsi = curve.s_infinity.value_set()
-    stalk0 = vs0.shift(gens[0])
-    stalki = vsi.shift(-gens[0])
-    for b in gens[1:]:
-        stalk0 = stalk0.union(vs0.shift(b))
-        stalki = stalki.union(vsi.shift(-b))
+    stalk0 = vs0.shifted_union(gens)
+    stalki = vsi.shifted_union(-b for b in gens)
     degree = (
         stalk0.count_difference(vs0)
         - vs0.count_difference(stalk0)
         + stalki.count_difference(vsi)
         - vsi.count_difference(stalki)
     )
-    h0 = sum(
-        1
-        for c in stalk0.elements_up_to(-stalki.min_element)
-        if (-c) in stalki
-    )
+    lo, hi = stalk0.min_element, 1 - stalki.min_element
+    h0 = 0
+    if hi > lo:
+        at_zero = stalk0.window(lo, hi)
+        at_infinity = stalki.window(1 - hi, 1 - lo)
+        h0 = (at_zero & reverse_bits(at_infinity, hi - lo)).bit_count()
     return SheafData(degree, h0)
 
 
@@ -257,8 +260,8 @@ def pencil_degree(curve: MonomialCurve, n: int) -> int:
       predecessor by n is also a gap;
     * n - (G_inf & (2^n - 1)) counts the integers below n minus the gaps
       among them;
-    * G_inf counts every gap, and (G_inf & G_inf >> n) those whose successor
-      by n is also a gap.
+    * G_inf counts every gap (the genus of S_inf), and (G_inf & G_inf >> n)
+      those whose successor by n is also a gap.
 
     For n < 0 the two points trade roles under t -> 1/t.  The result equals
     `sheaf_degree_h0(curve, (0, n)).degree` without building a ValueSet.
@@ -271,13 +274,19 @@ def pencil_degree(curve: MonomialCurve, n: int) -> int:
     s0, si = curve.s_zero, curve.s_infinity
     if n < 0:
         s0, si, n = si, s0, -n
-    g0, gi = s0.gap_mask, si.gap_mask
+    return _pencil(s0.gap_mask, si.gap_mask, si.delta, n)
+
+
+def _pencil(g0: int, gi: int, delta_i: int, n: int) -> int:
+    """The closed form of `pencil_degree` for n > 0, from the gap masks g0
+    and gi of the branches at 0 and infinity and the popcount delta_i of
+    gi."""
     return (
         (g0 >> n).bit_count()
         - (g0 & g0 << n).bit_count()
         + n
         - (gi & ((1 << n) - 1)).bit_count()
-        + gi.bit_count()
+        + delta_i
         - (gi & gi >> n).bit_count()
     )
 
@@ -288,17 +297,22 @@ def gonality_pencil(curve: MonomialCurve) -> tuple[int, int]:
     The search window is wide enough that any exponent beyond it shifts
     entirely past both conductors and can only do worse; ties go to the
     exponent of smallest absolute value, positive first.  Degrees come from
-    the closed form of `pencil_degree`; the winner's degree is then derived
+    the closed form of `pencil_degree`, with the two gap masks and their
+    popcounts read once per curve; the winner's degree is then derived
     again through `sheaf_degree_h0`, and PathsDisagree is raised if the two
     routes differ.
     """
-    window = 2 * (curve.s_zero.beta + curve.s_infinity.beta + 1)
-    best: tuple[int, int] | None = None
+    s0, si = curve.s_zero, curve.s_infinity
+    g0, gi, d0, di = s0.gap_mask, si.gap_mask, s0.delta, si.delta
+    window = 2 * (s0.beta + si.beta + 1)
+    best = (_pencil(g0, gi, di, 1), 1)
     for size in range(1, window + 1):
-        for n in (size, -size):
-            d = pencil_degree(curve, n)
-            if best is None or d < best[0]:
-                best = (d, n)
+        d = _pencil(g0, gi, di, size)
+        if d < best[0]:
+            best = (d, size)
+        d = _pencil(gi, g0, d0, size)
+        if d < best[0]:
+            best = (d, -size)
     degree, n = best
     checked = sheaf_degree_h0(curve, (0, n)).degree
     if checked != degree:

@@ -1,12 +1,12 @@
 """Numerical semigroups and the exact set arithmetic built on them.
 
-Everything here is integer arithmetic on plain tuples; nothing is floating
-point.  A numerical semigroup is a cofinite subset of the nonnegative
-integers containing 0 and closed under addition.  Alongside the semigroups
-themselves the module manipulates "value sets": cofinite integer sets stored
-as a finite part plus an infinite tail.  That is the shape taken by shifted
-semigroups, their unions and Minkowski sums, and the dual set measuring how
-far a semigroup is from being symmetric.
+Everything here is integer arithmetic on tuples and int bitmasks; nothing
+is floating point.  A numerical semigroup is a cofinite subset of the
+nonnegative integers containing 0 and closed under addition.  Alongside the
+semigroups themselves the module manipulates "value sets": cofinite integer
+sets stored as a bitmask of a finite part plus an infinite tail.  That is
+the shape taken by shifted semigroups, their unions and Minkowski sums, and
+the dual set measuring how far a semigroup is from being symmetric.
 """
 
 from __future__ import annotations
@@ -25,65 +25,132 @@ from .errors import (
 DEFAULT_GENUS_BOUND = 16
 
 
-@dataclass(frozen=True)
 class ValueSet:
     """A set of integers written as a finite part plus an infinite tail.
 
-    The set is ``finite_part`` together with every integer at or above
-    ``tail_start``.  The stored form is canonical: finite elements lie
-    strictly below the tail and the integer immediately below the tail is
-    absent (it would otherwise be absorbed into the tail), so equality of
-    dataclass fields is equality of sets.
+    The set is the finite part together with every integer at or above
+    ``tail_start``.  It is stored as a canonical triple ``(low, mask,
+    tail_start)``: bit j of the int ``mask`` is set when ``low + j`` is a
+    finite element, ``low`` is the smallest element (bit 0 is set unless
+    the finite part is empty, and then ``low == tail_start``), no bit
+    reaches the tail, and the integer immediately below the tail is absent
+    (it would otherwise be absorbed into the tail).  Equality of triples is
+    therefore equality of sets, and shifts, unions, Minkowski sums and
+    difference counts are shifts, ors and popcounts of ``mask``.
 
     >>> ValueSet((3, 5, 6, 7), 8) == ValueSet((3,), 5)
     True
+    >>> v = ValueSet((-2, 1), 4)
+    >>> (v.low, bin(v.mask), v.tail_start)
+    (-2, '0b1001', 4)
     """
 
-    finite_part: tuple[int, ...]
-    tail_start: int
+    __slots__ = ("low", "mask", "tail_start")
 
-    def __post_init__(self) -> None:
-        finite = sorted({x for x in self.finite_part if x < self.tail_start})
-        start = self.tail_start
-        while finite and finite[-1] == start - 1:
-            start -= 1
-            finite.pop()
-        object.__setattr__(self, "finite_part", tuple(finite))
-        object.__setattr__(self, "tail_start", start)
-        object.__setattr__(self, "_lookup", frozenset(finite))
+    def __init__(self, finite_part, tail_start: int) -> None:
+        finite = [x for x in finite_part if x < tail_start]
+        low = min(finite, default=tail_start)
+        self._store(*_canonical(low, bitmask(x - low for x in finite), tail_start))
+
+    @classmethod
+    def _from_mask(cls, low: int, mask: int, tail_start: int) -> ValueSet:
+        """The set with bit j of mask for low + j plus the tail, in
+        canonical form; bits at or past the tail are dropped."""
+        out = object.__new__(cls)
+        out._store(*_canonical(low, mask, tail_start))
+        return out
+
+    def _store(self, low: int, mask: int, tail_start: int) -> None:
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "tail_start", tail_start)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ValueSet is immutable; cannot set {name}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ValueSet):
+            return NotImplemented
+        return (self.low, self.mask, self.tail_start) == (
+            other.low,
+            other.mask,
+            other.tail_start,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.low, self.mask, self.tail_start))
+
+    def __repr__(self) -> str:
+        return f"ValueSet(finite_part={self.finite_part}, tail_start={self.tail_start})"
 
     def __contains__(self, x: int) -> bool:
-        return x >= self.tail_start or x in self._lookup
+        if x >= self.tail_start:
+            return True
+        return x >= self.low and (self.mask >> (x - self.low)) & 1 == 1
+
+    @property
+    def finite_part(self) -> tuple[int, ...]:
+        """The finite elements, sorted: one pass over the binary digits of
+        the mask, least significant first."""
+        digits = bin(self.mask)[:1:-1]
+        return tuple(self.low + j for j, bit in enumerate(digits) if bit == "1")
 
     @property
     def min_element(self) -> int:
-        return self.finite_part[0] if self.finite_part else self.tail_start
+        return self.low
+
+    def window(self, lo: int, hi: int) -> int:
+        """The members x with lo <= x < hi as a mask, bit j for lo + j."""
+        width = hi - lo
+        if width <= 0:
+            return 0
+        tail = max(self.tail_start - lo, 0)
+        bits = ((1 << width) - 1) >> tail << tail
+        offset = self.low - lo
+        bits |= self.mask << offset if offset >= 0 else self.mask >> -offset
+        return bits & ((1 << width) - 1)
 
     def shift(self, k: int) -> ValueSet:
         """Translate the whole set by the integer k."""
-        return ValueSet(
-            tuple(x + k for x in self.finite_part), self.tail_start + k
-        )
+        return ValueSet._from_mask(self.low + k, self.mask, self.tail_start + k)
+
+    def shifted_union(self, shifts) -> ValueSet:
+        """The union of self + k over the given shifts, as one or of the
+        shifted masks, normalized once."""
+        ks = sorted(set(shifts))
+        if not ks:
+            raise ValueError("the union needs at least one shift")
+        first = ks[0]
+        mask = 0
+        for k in ks:
+            mask |= self.mask << (k - first)
+        return ValueSet._from_mask(self.low + first, mask, self.tail_start + first)
 
     def union(self, other: ValueSet) -> ValueSet:
-        return ValueSet(
-            self.finite_part + other.finite_part,
-            min(self.tail_start, other.tail_start),
-        )
+        low = min(self.low, other.low)
+        mask = self.mask << (self.low - low) | other.mask << (other.low - low)
+        return ValueSet._from_mask(low, mask, min(self.tail_start, other.tail_start))
 
     def minkowski(self, other: ValueSet) -> ValueSet:
         """Minkowski sum: every a + b with a in self and b in other.
 
         The sum of two tailed sets is again a tailed set.  Its tail starts
         no later than min element + other tail (in either order), and every
-        sum below that threshold uses finite elements from both operands.
+        sum below that threshold uses finite elements from both operands:
+        the or of the other mask shifted by each set bit of this one.
         """
         tail = min(
             self.min_element + other.tail_start,
             other.min_element + self.tail_start,
         )
-        sums = {a + b for a in self.finite_part for b in other.finite_part}
-        return ValueSet(tuple(sums), tail)
+        few, many = self.mask, other.mask
+        if few.bit_count() > many.bit_count():
+            few, many = many, few
+        sums = 0
+        while few:
+            sums |= many << ((few & -few).bit_length() - 1)
+            few &= few - 1
+        return ValueSet._from_mask(self.low + other.low, sums, tail)
 
     def elements_up_to(self, n: int) -> list[int]:
         """Sorted list of all members x with x <= n."""
@@ -92,10 +159,30 @@ class ValueSet:
         return out
 
     def count_difference(self, other: ValueSet) -> int:
-        """Number of elements of self that are not in other (always finite)."""
-        candidates = set(self.finite_part)
-        candidates.update(range(self.tail_start, max(self.tail_start, other.tail_start)))
-        return sum(1 for x in candidates if x not in other)
+        """Number of elements of self that are not in other (always finite):
+        a popcount over [min low, max tail), past which both hold everything."""
+        lo = min(self.low, other.low)
+        hi = max(self.tail_start, other.tail_start)
+        return (self.window(lo, hi) & ~other.window(lo, hi)).bit_count()
+
+
+def _canonical(low: int, mask: int, tail: int) -> tuple[int, int, int]:
+    """The canonical triple of the set {low + j : bit j of mask} plus
+    [tail, infinity): bits at or past the tail dropped, the run of elements
+    just below the tail absorbed into it, and low moved up to the smallest
+    finite element (or to the tail when none is left)."""
+    width = tail - low
+    if width <= 0:
+        return tail, 0, tail
+    full = (1 << width) - 1
+    mask &= full
+    top = (full & ~mask).bit_length()
+    tail = low + top
+    mask &= (1 << top) - 1
+    if not mask:
+        return tail, 0, tail
+    skip = (mask & -mask).bit_length() - 1
+    return low + skip, mask >> skip, tail
 
 
 def bitmask(offsets) -> int:
@@ -116,6 +203,18 @@ def bitmask(offsets) -> int:
     for k in offsets:
         bits[top - k] = ord("1")
     return int(bits, 2)
+
+
+def reverse_bits(mask: int, width: int) -> int:
+    """The low width bits of mask in reverse order: bit j of the result is
+    bit width - 1 - j of mask.  One string reversal, linear in width.
+
+    >>> bin(reverse_bits(0b0011, 4))
+    '0b1100'
+    """
+    if width <= 0:
+        return 0
+    return int(format(mask & ((1 << width) - 1), f"0{width}b")[::-1], 2)
 
 
 class NumericalSemigroup:
@@ -224,8 +323,9 @@ class NumericalSemigroup:
         return self._gap_mask
 
     def value_set(self) -> ValueSet:
-        """The semigroup as a tailed set (tail starts at the conductor)."""
-        return ValueSet(self.elements_below_conductor, self.beta)
+        """The semigroup as a tailed set (tail starts at the conductor),
+        its mask the complement of the gap mask below the conductor."""
+        return ValueSet._from_mask(0, ~self.gap_mask & ((1 << self.beta) - 1), self.beta)
 
 
 def make_semigroup(generators) -> NumericalSemigroup:
@@ -314,8 +414,10 @@ class KappaSets:
 
 
 def kappa_sets(s: NumericalSemigroup) -> KappaSets:
-    k_star = tuple(a for a in range(s.beta) if (s.gamma - a) not in s)
-    return KappaSets(ValueSet(k_star, s.beta), k_star, s.elements_below_conductor)
+    """The dual sets of s; the mask of k is the gap mask reversed over
+    [0, beta), since a is in k_star exactly when gamma - a is a gap."""
+    k = ValueSet._from_mask(0, reverse_bits(s.gap_mask, s.beta), s.beta)
+    return KappaSets(k, k.finite_part, s.elements_below_conductor)
 
 
 def is_symmetric(s: NumericalSemigroup) -> bool:
@@ -350,14 +452,15 @@ def stabilizer(v: ValueSet) -> ValueSet:
 
     Every a at or past the tail start qualifies (v contains 0, so a itself
     must land in v, and larger shifts stay in the tail), which keeps the
-    check finite.
+    check finite.  Below the tail start, a qualifies when the finite mask
+    shifted by a meets none of the holes of v, the integers between its
+    min element and its tail that it misses: (mask << a) & holes == 0.
     """
-    good = [
-        a
-        for a in range(max(0, v.tail_start))
-        if all((a + f) in v for f in v.finite_part)
-    ]
-    return ValueSet(tuple(good), max(0, v.tail_start))
+    tail = max(0, v.tail_start)
+    holes = ~v.mask & ((1 << (v.tail_start - v.low)) - 1)
+    # distinct powers of two, so the sum is their or
+    good = sum(1 << a for a in range(tail) if not (v.mask << a) & holes)
+    return ValueSet._from_mask(0, good, tail)
 
 
 @dataclass(frozen=True)

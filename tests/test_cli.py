@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -43,6 +44,25 @@ class TestAnalyze:
         code, out, _ = run_cli("analyze", "--exponents", "4, 5, 7, 8", capsys=capsys)
         assert code == 0
         assert json.loads(out)["genus"] == 4
+
+    def test_genus_zero_is_a_validation_error(self, capsys):
+        code, out, err = run_cli("analyze", "--exponents", "1,2", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: (1:t^1:t^2) has genus 0, no canonical sections\n"
+
+    def test_wide_curve_row_is_fast_and_unchanged(self, capsys):
+        # genus 4,851: the dualizing certificate shifts the semigroup at
+        # infinity once per canonical exponent, and mu takes the stabilizer
+        # of a 4,752-element set; both are int-mask work, not loops over
+        # tuples.  The digest is the stdout of the tuple-set routes.
+        start = time.perf_counter()
+        code, out, _ = run_cli("analyze", "--exponents", "3,100", capsys=capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2e92ddd070160e1f583d493a76ac88a1781123266c2798d37be23c89c60ae899"
+        )
+        assert elapsed < 3.0
 
 
 class TestSingleValueCommands:

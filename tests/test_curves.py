@@ -4,6 +4,7 @@ gonality pencils, and the analysis record."""
 import random
 
 import pytest
+from test_semigroups import TupleValueSet
 
 import scrollcurves.curves as curves_module
 from scrollcurves.curves import (
@@ -32,6 +33,36 @@ from scrollcurves.errors import (
 )
 from scrollcurves.fixtures import fixture, fixture_names
 from scrollcurves.semigroups import enumerate_genus, kappa_sets, make_semigroup
+
+
+def tuple_sheaf_degree_h0(curve, generator_exponents) -> SheafData:
+    """The sheaf route as chained unions of tuple value sets, one shifted
+    semigroup per generator, with sections counted one membership test at
+    a time: the reference for the mask route of `sheaf_degree_h0`."""
+    gens = sorted(set(generator_exponents))
+    vs0 = TupleValueSet(curve.s_zero.elements_below_conductor, curve.s_zero.beta)
+    vsi = TupleValueSet(curve.s_infinity.elements_below_conductor, curve.s_infinity.beta)
+    stalk0 = vs0.shift(gens[0])
+    stalki = vsi.shift(-gens[0])
+    for b in gens[1:]:
+        stalk0 = stalk0.union(vs0.shift(b))
+        stalki = stalki.union(vsi.shift(-b))
+    degree = (
+        stalk0.count_difference(vs0)
+        - vs0.count_difference(stalk0)
+        + stalki.count_difference(vsi)
+        - vsi.count_difference(stalki)
+    )
+    h0 = sum(1 for c in stalk0.elements_up_to(-stalki.min_element) if (-c) in stalki)
+    return SheafData(degree, h0)
+
+
+def oracle_curves():
+    """The 477 genus 1-10 representatives and the 74 bundled fixture curves."""
+    curves = [representative_curve(s) for g in range(1, 11) for s in enumerate_genus(g)]
+    curves += [make_curve(row.exponents) for name in fixture_names() for row in fixture(name)]
+    assert len(curves) == 477 + 74
+    return curves
 
 
 class TestConstruction:
@@ -143,6 +174,23 @@ class TestSheaves:
     def test_structure_sheaf_is_trivial(self):
         c = make_curve((4, 5, 7, 8))
         assert sheaf_degree_h0(c, (0,)) == SheafData(0, 1)
+
+
+class TestSheafOracle:
+    """The mask route of `sheaf_degree_h0` against the tuple route."""
+
+    def test_canonical_generators(self):
+        for c in oracle_curves():
+            raw = canonical_section_exponents(c)
+            assert sheaf_degree_h0(c, raw) == tuple_sheaf_degree_h0(c, raw), c.exponents
+
+    def test_pencils_in_the_gonality_window(self):
+        for c in oracle_curves():
+            window = 2 * (c.s_zero.beta + c.s_infinity.beta + 1)
+            for n in range(-window, window + 1):
+                if n:
+                    expected = tuple_sheaf_degree_h0(c, (0, n))
+                    assert sheaf_degree_h0(c, (0, n)) == expected, (c.exponents, n)
 
 
 class TestPencils:

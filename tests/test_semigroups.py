@@ -2,7 +2,10 @@
 
 The enumeration is cross-checked against a brute-force oracle that tries
 every candidate gap subset directly, and the named invariants are frozen
-from hand computations.
+from hand computations.  The bitmask ValueSet and the stabilizer, stable
+Minkowski power and mu built on it are held to test-local tuple versions
+(`TupleValueSet` and friends), which `test_curves.py` also uses as the
+reference for the sheaf route.
 """
 
 import math
@@ -21,6 +24,7 @@ from scrollcurves.errors import (
 )
 from scrollcurves.semigroups import (
     BlockDecomposition,
+    MuData,
     ValueSet,
     block_decomposition,
     enumerate_genus,
@@ -84,6 +88,97 @@ def window_sieve_gaps(generators) -> tuple[int, ...]:
     return tuple(i for i in range(limit) if not reach[i])
 
 
+class TupleValueSet:
+    """A finite part plus an infinite tail, stored as a sorted tuple and a
+    frozenset: the representation `ValueSet` had before it became a
+    bitmask, kept as the reference its masks are held to.
+
+    The stored form is canonical: finite elements lie strictly below the
+    tail and the integer immediately below the tail is absent, so equality
+    of the two fields is equality of sets.
+    """
+
+    def __init__(self, finite_part, tail_start):
+        finite = sorted({x for x in finite_part if x < tail_start})
+        start = tail_start
+        while finite and finite[-1] == start - 1:
+            start -= 1
+            finite.pop()
+        self.finite_part = tuple(finite)
+        self.tail_start = start
+        self._lookup = frozenset(finite)
+
+    def __eq__(self, other):
+        return (self.finite_part, self.tail_start) == (other.finite_part, other.tail_start)
+
+    def __contains__(self, x):
+        return x >= self.tail_start or x in self._lookup
+
+    @property
+    def min_element(self):
+        return self.finite_part[0] if self.finite_part else self.tail_start
+
+    def shift(self, k):
+        return TupleValueSet(tuple(x + k for x in self.finite_part), self.tail_start + k)
+
+    def union(self, other):
+        return TupleValueSet(
+            self.finite_part + other.finite_part, min(self.tail_start, other.tail_start)
+        )
+
+    def minkowski(self, other):
+        tail = min(
+            self.min_element + other.tail_start, other.min_element + self.tail_start
+        )
+        sums = {a + b for a in self.finite_part for b in other.finite_part}
+        return TupleValueSet(tuple(sums), tail)
+
+    def elements_up_to(self, n):
+        out = [x for x in self.finite_part if x <= n]
+        out.extend(range(self.tail_start, n + 1))
+        return out
+
+    def count_difference(self, other):
+        candidates = set(self.finite_part)
+        candidates.update(range(self.tail_start, max(self.tail_start, other.tail_start)))
+        return sum(1 for x in candidates if x not in other)
+
+
+def tuple_stable_minkowski_power(v):
+    """The chain v, v+v, ... of tuple sets, up to its limit."""
+    assert 0 in v
+    current = v
+    while True:
+        nxt = current.minkowski(v)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def tuple_stabilizer(v):
+    """All a >= 0 with a + v inside v, one membership test per finite element."""
+    good = [
+        a
+        for a in range(max(0, v.tail_start))
+        if all((a + f) in v for f in v.finite_part)
+    ]
+    return TupleValueSet(tuple(good), max(0, v.tail_start))
+
+
+def tuple_mu_local(s):
+    """mu and its two sets through tuple value sets, with the dual set
+    found by one membership test per integer below the conductor."""
+    k_star = [a for a in range(s.beta) if (s.gamma - a) not in s]
+    k = TupleValueSet(k_star, s.beta)
+    stable = tuple_stable_minkowski_power(k)
+    t = tuple_stabilizer(stable)
+    return t.count_difference(k), t, stable
+
+
+def same_set(fast: ValueSet, ref: TupleValueSet) -> bool:
+    return (fast.finite_part, fast.tail_start) == (ref.finite_part, ref.tail_start)
+
+
 gcd_one_generators = st.lists(
     st.integers(min_value=1, max_value=40), min_size=1, max_size=6
 ).filter(lambda gens: math.gcd(*gens) == 1)
@@ -133,6 +228,93 @@ class TestValueSet:
         assert t.count_difference(k) == 1
         assert k.count_difference(t) == 0
         assert t.count_difference(t) == 0
+
+
+value_set_args = st.tuples(
+    st.lists(st.integers(min_value=-40, max_value=40), max_size=16),
+    st.integers(min_value=-60, max_value=60),
+)
+nonnegative_args = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=40), max_size=10),
+    st.integers(min_value=0, max_value=60),
+)
+
+
+class TestValueSetOracle:
+    """The bitmask ValueSet against the tuple reference, on finite parts
+    in [-40, 40] with any tail, inside or outside that range."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_set_args, st.integers(min_value=-70, max_value=70))
+    def test_canonical_form_and_queries(self, args, n):
+        fast, ref = ValueSet(*args), TupleValueSet(*args)
+        assert same_set(fast, ref)
+        assert fast.min_element == ref.min_element
+        assert fast.elements_up_to(n) == ref.elements_up_to(n)
+        for x in range(-70, 71):
+            assert (x in fast) == (x in ref), x
+        # the stored triple: low is the min element, bit 0 is set unless the
+        # finite part is empty, and the integer below the tail is absent
+        assert fast.low == ref.min_element
+        assert fast.mask & 1 == (1 if ref.finite_part else 0)
+        assert fast.mask.bit_length() < max(1, fast.tail_start - fast.low)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_set_args, value_set_args, st.integers(min_value=0, max_value=5))
+    def test_equality_and_hash(self, a, b, pad):
+        fast_a, fast_b = ValueSet(*a), ValueSet(*b)
+        assert (fast_a == fast_b) == (TupleValueSet(*a) == TupleValueSet(*b))
+        finite, tail = a
+        # the same set with part of its tail written into the finite part
+        spelled = ValueSet(list(finite) + list(range(tail, tail + pad)), tail + pad)
+        assert spelled == fast_a and hash(spelled) == hash(fast_a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_set_args, st.integers(min_value=-40, max_value=40))
+    def test_shift(self, args, k):
+        assert same_set(ValueSet(*args).shift(k), TupleValueSet(*args).shift(k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_set_args, value_set_args)
+    def test_union(self, a, b):
+        fast = ValueSet(*a).union(ValueSet(*b))
+        assert same_set(fast, TupleValueSet(*a).union(TupleValueSet(*b)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_set_args, st.lists(st.integers(-30, 30), min_size=1, max_size=6))
+    def test_shifted_union_is_chained_unions(self, args, shifts):
+        ref = TupleValueSet(*args)
+        chained = ref.shift(shifts[0])
+        for k in shifts[1:]:
+            chained = chained.union(ref.shift(k))
+        assert same_set(ValueSet(*args).shifted_union(shifts), chained)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_set_args, value_set_args)
+    def test_minkowski(self, a, b):
+        fast = ValueSet(*a).minkowski(ValueSet(*b))
+        assert same_set(fast, TupleValueSet(*a).minkowski(TupleValueSet(*b)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_set_args, value_set_args)
+    def test_count_difference(self, a, b):
+        fast_a, fast_b = ValueSet(*a), ValueSet(*b)
+        ref_a, ref_b = TupleValueSet(*a), TupleValueSet(*b)
+        assert fast_a.count_difference(fast_b) == ref_a.count_difference(ref_b)
+        assert fast_b.count_difference(fast_a) == ref_b.count_difference(ref_a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_set_args)
+    def test_stabilizer(self, args):
+        assert same_set(stabilizer(ValueSet(*args)), tuple_stabilizer(TupleValueSet(*args)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonnegative_args)
+    def test_stable_minkowski_power(self, args):
+        finite, tail = args
+        finite = [0] + finite
+        fast = stable_minkowski_power(ValueSet(finite, tail))
+        assert same_set(fast, tuple_stable_minkowski_power(TupleValueSet(finite, tail)))
 
 
 class TestConstruction:
@@ -301,6 +483,20 @@ class TestMu:
             for s in enumerate_genus(genus):
                 if eta_local(s) == 1:
                     assert mu_local(s).mu == 1
+
+    def test_mu_matches_tuple_route(self):
+        """mu and both MuData sets on every semigroup of genus <= 10."""
+        count = 0
+        for genus in range(11):
+            for s in enumerate_genus(genus):
+                mu, t, stable = tuple_mu_local(s)
+                data = mu_local(s)
+                assert isinstance(data, MuData)
+                assert data.mu == mu, s
+                assert same_set(data.stabilizer, t), s
+                assert same_set(data.stable_power, stable), s
+                count += 1
+        assert count == 478
 
     def test_stabilizer_of_everything(self):
         assert stabilizer(ValueSet((), 0)) == ValueSet((), 0)
