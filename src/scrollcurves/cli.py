@@ -25,7 +25,7 @@ from .catalog import (
     row_for_curve,
 )
 from .chow import Ambient, DivisorClass, RankTwoBundleClass, euler_characteristic, pa_from_bundle
-from .curves import canonical_exponents, gonality, make_curve
+from .curves import SCHUR_BOUND_LIMIT, canonical_exponents, gonality, make_curve
 from .errors import ScrollCurvesError
 from .fixtures import fixture_names
 from .scrolls import min_scroll_dimension, scroll_structures
@@ -78,7 +78,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    row = row_for_curve(make_curve(args.exponents))
+    row = row_for_curve(make_curve(args.exponents, SCHUR_BOUND_LIMIT))
     if args.format == "json":
         print(json.dumps(row.to_dict(), separators=(",", ":")))
     else:
@@ -87,7 +87,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
-    print(format_exponents(canonical_exponents(make_curve(args.exponents))))
+    curve = make_curve(args.exponents, SCHUR_BOUND_LIMIT)
+    print(format_exponents(canonical_exponents(curve)))
     return 0
 
 
@@ -95,7 +96,7 @@ def _cmd_gonality(args) -> int:
     """Print the gonality after checking it against the scroll dimension of
     the canonical model, as every catalog row does; nothing else of the
     row is computed."""
-    curve = make_curve(args.exponents)
+    curve = make_curve(args.exponents, SCHUR_BOUND_LIMIT)
     gon = gonality(curve)
     msd = min_scroll_dimension(canonical_exponents(curve))
     check_scroll_correspondence(curve.exponents, curve.genus, gon, msd)
@@ -104,7 +105,7 @@ def _cmd_gonality(args) -> int:
 
 
 def _cmd_scrolls(args) -> int:
-    curve = make_curve(args.exponents)
+    curve = make_curve(args.exponents, SCHUR_BOUND_LIMIT)
     canon = canonical_exponents(curve)
     msd = min_scroll_dimension(canon)
     print("canonical exponents:", " ".join(map(str, canon)))

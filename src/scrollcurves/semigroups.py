@@ -90,10 +90,8 @@ class ValueSet:
 
     @property
     def finite_part(self) -> tuple[int, ...]:
-        """The finite elements, sorted: one pass over the binary digits of
-        the mask, least significant first."""
-        digits = bin(self.mask)[:1:-1]
-        return tuple(self.low + j for j, bit in enumerate(digits) if bit == "1")
+        """The finite elements, sorted."""
+        return set_bits(self.mask, self.low)
 
     @property
     def min_element(self) -> int:
@@ -143,14 +141,8 @@ class ValueSet:
             self.min_element + other.tail_start,
             other.min_element + self.tail_start,
         )
-        few, many = self.mask, other.mask
-        if few.bit_count() > many.bit_count():
-            few, many = many, few
-        sums = 0
-        while few:
-            sums |= many << ((few & -few).bit_length() - 1)
-            few &= few - 1
-        return ValueSet._from_mask(self.low + other.low, sums, tail)
+        few, many = sorted((self.mask, other.mask), key=int.bit_count)
+        return ValueSet._from_mask(self.low + other.low, sumset(few, many), tail)
 
     def elements_up_to(self, n: int) -> list[int]:
         """Sorted list of all members x with x <= n."""
@@ -205,6 +197,31 @@ def bitmask(offsets) -> int:
     return int(bits, 2)
 
 
+def sumset(few: int, many: int) -> int:
+    """The mask of every i + j with bit i of few and bit j of many: the or
+    of many shifted by each set bit of few.
+
+    >>> bin(sumset(0b101, 0b11))
+    '0b1111'
+    """
+    sums = 0
+    while few:
+        sums |= many << ((few & -few).bit_length() - 1)
+        few &= few - 1
+    return sums
+
+
+def set_bits(mask: int, low: int = 0) -> tuple[int, ...]:
+    """low + j for each set bit j of a nonnegative mask, sorted: one pass
+    over its binary digits, least significant first.
+
+    >>> set_bits(0b1101, 10)
+    (10, 12, 13)
+    """
+    digits = bin(mask)[:1:-1]
+    return tuple(low + j for j, bit in enumerate(digits) if bit == "1")
+
+
 def reverse_bits(mask: int, width: int) -> int:
     """The low width bits of mask in reverse order: bit j of the result is
     bit width - 1 - j of mask.  One string reversal, linear in width.
@@ -218,113 +235,92 @@ def reverse_bits(mask: int, width: int) -> int:
 
 
 class NumericalSemigroup:
-    """A numerical semigroup stored through its finite gap set.
+    """A numerical semigroup stored as its gap mask.
 
     Attributes
     ----------
-    generators : tuple of int
-        The generating set the object was built from; when reconstructed
-        from gaps this is the minimal generating set.
-    gaps : tuple of int
-        The positive integers missing from the semigroup, sorted.
+    gap_mask : int
+        Bit g set exactly for each gap g, a positive integer not in S.
     alpha : int
-        Multiplicity, the smallest nonzero element.
+        Multiplicity, the smallest nonzero element: the lowest clear bit
+        above bit 0.
+    beta : int
+        Conductor, gamma + 1: the bit length of the mask.
     gamma : int
         Frobenius number, the largest gap (-1 when there are no gaps).
-    beta : int
-        Conductor, gamma + 1.
     delta : int
-        Genus, the number of gaps.
-    elements_below_conductor : tuple of int
-        Every element up to and including the conductor.
-    gap_mask : int
-        The gap set as a bitmask, bit g set exactly for each gap g; built
-        on first use, in time linear in the conductor.
+        Genus, the number of gaps: the popcount of the mask.
+    generators : tuple of int
+        The generating set the object was built from; when built from gaps
+        alone this is the minimal generating set.
+    gaps, elements_below_conductor : tuple of int
+        Views of the mask, built on each use.
     """
 
-    __slots__ = (
-        "generators",
-        "gaps",
-        "alpha",
-        "beta",
-        "gamma",
-        "delta",
-        "elements_below_conductor",
-        "_small",
-        "_minimal",
-        "_gap_mask",
-    )
+    __slots__ = ("gap_mask", "alpha", "beta", "gamma", "delta", "_generators")
 
     def __init__(self, gaps, generators=None):
-        gaps = tuple(sorted(gaps))
-        gamma = gaps[-1] if gaps else -1
-        beta = gamma + 1
-        gap_set = frozenset(gaps)
-        small = frozenset(x for x in range(beta + 1) if x not in gap_set)
-        self.gaps = gaps
-        self.gamma = gamma
-        self.beta = beta
-        self.delta = len(gaps)
-        self._small = small
-        self.elements_below_conductor = tuple(sorted(small))
-        self.alpha = min((x for x in small if x > 0), default=1)
-        self._minimal = None
-        self._gap_mask = None
-        if generators is None:
-            generators = self.minimal_generators
-        self.generators = tuple(generators)
+        self._store(bitmask(gaps), generators)
+
+    @classmethod
+    def from_gap_mask(cls, mask: int, generators=None) -> NumericalSemigroup:
+        """The semigroup whose gaps are the set bits of mask (bit 0 clear)."""
+        out = cls.__new__(cls)
+        out._store(mask, generators)
+        return out
+
+    def _store(self, mask: int, generators) -> None:
+        self.gap_mask = mask
+        self.beta = mask.bit_length()
+        self.gamma = self.beta - 1
+        self.delta = mask.bit_count()
+        # 1, ..., alpha - 1 are gaps, so adding 1 to mask | 1 carries to alpha
+        low = mask | 1
+        self.alpha = (~low & (low + 1)).bit_length() - 1
+        self._generators = None if generators is None else tuple(generators)
 
     def __contains__(self, x: int) -> bool:
-        if x < 0:
-            return False
-        return x >= self.beta or x in self._small
+        return x >= 0 and not (self.gap_mask >> x) & 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NumericalSemigroup):
             return NotImplemented
-        return self.gaps == other.gaps
+        return self.gap_mask == other.gap_mask
 
     def __hash__(self) -> int:
-        return hash(self.gaps)
+        return hash(self.gap_mask)
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators)
         return f"NumericalSemigroup<{inside}>"
 
     @property
+    def generators(self) -> tuple[int, ...]:
+        return self.minimal_generators if self._generators is None else self._generators
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        """The gaps, sorted."""
+        return set_bits(self.gap_mask)
+
+    @property
+    def elements_below_conductor(self) -> tuple[int, ...]:
+        """Every element up to and including the conductor, sorted."""
+        return set_bits(~self.gap_mask & ((2 << self.beta) - 1))
+
+    @property
     def minimal_generators(self) -> tuple[int, ...]:
         """Elements not expressible as a sum of two nonzero elements.
 
-        Any decomposable element n splits as a + (n - a) with both parts at
-        least the multiplicity, so candidates above beta + alpha - 1 never
-        occur and the search window is finite.
+        Both parts of such a sum are at least alpha, so none passes beta +
+        alpha (alpha + beta itself once beta > 0): the minimal generators
+        are the nonzero elements in [1, beta + alpha] less their sumset.
         """
-        if self._minimal is None:
-            if self.delta == 0:
-                self._minimal = (1,)
-            else:
-                found = []
-                for n in range(self.alpha, self.beta + self.alpha):
-                    if n not in self:
-                        continue
-                    decomposable = any(
-                        a in self and (n - a) in self
-                        for a in range(self.alpha, n - self.alpha + 1)
-                    )
-                    if not decomposable:
-                        found.append(n)
-                self._minimal = tuple(found)
-        return self._minimal
-
-    @property
-    def gap_mask(self) -> int:
-        if self._gap_mask is None:
-            self._gap_mask = bitmask(self.gaps)
-        return self._gap_mask
+        elements = ~self.gap_mask & ((2 << (self.beta + self.alpha)) - 2)
+        return set_bits(elements & ~sumset(elements, elements))
 
     def value_set(self) -> ValueSet:
-        """The semigroup as a tailed set (tail starts at the conductor),
-        its mask the complement of the gap mask below the conductor."""
+        """The semigroup as a tailed set: the gap mask's complement, then beta on."""
         return ValueSet._from_mask(0, ~self.gap_mask & ((1 << self.beta) - 1), self.beta)
 
 
@@ -334,12 +330,13 @@ def make_semigroup(generators) -> NumericalSemigroup:
     The generators must be positive with overall gcd 1.  Reachability is
     streamed upward from 0 (i is reachable when i - g is, for some generator
     g), and every unreachable integer is recorded as a gap as the stream
-    passes it.  The stream stops at the first run of alpha consecutive
-    reachable integers, alpha being the multiplicity: adding alpha repeatedly
-    to that run reaches every larger integer, so the run certifies that the
-    gap set is complete.  The buffer grows with the stream and never passes
-    Schur's bound (alpha - 1)(max - 1) + alpha on where such a run must end;
-    reaching the bound without one raises BoundExceeded.
+    passes it.  The last max(generators) reachability flags live in one int,
+    newest in bit 0, and the generators in a tap mask with bit g - 1 for
+    each g, so i is reachable exactly when the two masks meet.  The stream
+    stops at the first run of alpha (the multiplicity) reachable integers,
+    which certifies the gap set: adding alpha to it reaches every larger
+    integer.  Reaching Schur's bound (alpha - 1)(max - 1) + alpha on where
+    such a run ends, without one, raises BoundExceeded.
 
     >>> make_semigroup((4, 5, 7)).gaps
     (1, 2, 3, 6)
@@ -355,47 +352,45 @@ def make_semigroup(generators) -> NumericalSemigroup:
         raise GcdNotOne(f"generators {gens} have gcd {math.gcd(*gens)}")
     alpha = gens[0]
     cap = (alpha - 1) * (gens[-1] - 1) + alpha
-    reach = bytearray(b"\x01")
+    taps = bitmask(g - 1 for g in gens)
+    keep = (1 << gens[-1]) - 1
+    recent, run, i = 1, 1, 0
     gaps = []
-    run = 1
     while run < alpha:
-        i = len(reach)
+        i += 1
         if i >= cap:
             raise BoundExceeded("no run of alpha reachable integers within Schur's bound")
-        if any(reach[i - g] for g in gens if g <= i):
-            reach.append(1)
+        if recent & taps:
+            recent = (recent << 1 | 1) & keep
             run += 1
         else:
-            reach.append(0)
+            recent = recent << 1 & keep
             gaps.append(i)
             run = 0
-    return NumericalSemigroup(gaps, gens)
+    return NumericalSemigroup.from_gap_mask(bitmask(gaps), gens)
 
 
 def semigroup_from_gaps(gaps) -> NumericalSemigroup:
     """Rebuild a semigroup from its gap set, verifying additive closure.
 
     Raises ValueError when the complement of the proposed gap set is not
-    closed under addition.
+    closed under addition, naming the smallest element a and then the
+    smallest b >= a whose sum is a gap: the lowest gap met by the elements
+    from a up, shifted by a.
     """
     gap_list = sorted(set(gaps))
-    if not gap_list:
-        return NumericalSemigroup(())
-    if gap_list[0] < 1:
+    if gap_list and gap_list[0] < 1:
         raise ValueError("gaps must be positive integers")
-    gamma = gap_list[-1]
-    gap_set = frozenset(gap_list)
-    small = [x for x in range(1, gamma + 1) if x not in gap_set]
-    for i, a in enumerate(small):
-        for b in small[i:]:
-            total = a + b
-            if total > gamma:
-                break
-            if total in gap_set:
-                raise ValueError(
-                    f"complement is not additively closed: {a} + {b} = {total} is a gap"
-                )
-    return NumericalSemigroup(gap_list)
+    s = NumericalSemigroup(gap_list)
+    elements = ~s.gap_mask & ((1 << s.beta) - 1) & -2
+    for a in set_bits(elements):
+        hit = elements >> a << 2 * a & s.gap_mask
+        if hit:
+            total = (hit & -hit).bit_length() - 1
+            raise ValueError(
+                f"complement is not additively closed: {a} + {total - a} = {total} is a gap"
+            )
+    return s
 
 
 @dataclass(frozen=True)
@@ -426,8 +421,10 @@ def is_symmetric(s: NumericalSemigroup) -> bool:
 
 
 def eta_local(s: NumericalSemigroup) -> int:
-    """Size of K minus S, zero exactly for symmetric semigroups."""
-    return sum(1 for a in kappa_sets(s).k_star if a not in s)
+    """Size of K minus S, zero exactly for symmetric semigroups: the a
+    below the conductor with a and gamma - a both gaps, one popcount of the
+    gap mask against its reversal over [0, beta)."""
+    return (reverse_bits(s.gap_mask, s.beta) & s.gap_mask).bit_count()
 
 
 def stable_minkowski_power(v: ValueSet, max_steps: int = 10000) -> ValueSet:
@@ -504,44 +501,27 @@ def recover_from_kappa_star(values) -> NumericalSemigroup:
         raise NotAValidKappaStar(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Maximal runs of consecutive semigroup elements strictly between 0
-    and the conductor, plus their count."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    b: int
-
-
-def block_decomposition(s: NumericalSemigroup) -> BlockDecomposition:
-    interior = [x for x in s.elements_below_conductor if 0 < x < s.beta]
-    blocks: list[list[int]] = []
-    for x in interior:
-        if blocks and x == blocks[-1][-1] + 1:
-            blocks[-1].append(x)
-        else:
-            blocks.append([x])
-    return BlockDecomposition(tuple(tuple(b) for b in blocks), len(blocks))
-
-
 @lru_cache(maxsize=None)
-def _genus_level(genus: int) -> tuple[tuple[int, ...], ...]:
-    """Gap tuples of every numerical semigroup of the given genus, sorted.
+def _genus_level(genus: int) -> tuple[int, ...]:
+    """Gap masks of every numerical semigroup of the given genus, in
+    lexicographic order of their gap tuples.
 
-    Children of a semigroup are obtained by removing one minimal generator
-    larger than the Frobenius number; every semigroup of positive genus
-    arises exactly once this way (restore the Frobenius number to find the
-    unique parent).
+    A child of a semigroup removes one minimal generator n above the
+    Frobenius number, mask | 1 << n; every semigroup of positive genus
+    arises once this way (restoring the Frobenius number gives the parent).
+    Gap tuples of one length first differ at the lowest bit where the masks
+    differ, and the earlier one has that gap: descending order of the masks
+    reversed over [0, 2 genus), past the largest possible gap.
     """
     if genus == 0:
-        return ((),)
-    level = []
-    for gaps in _genus_level(genus - 1):
-        parent = NumericalSemigroup(gaps)
-        for n in parent.minimal_generators:
-            if n > parent.gamma:
-                level.append(tuple(sorted(gaps + (n,))))
-    return tuple(sorted(level))
+        return (0,)
+    level = [
+        mask | 1 << n
+        for mask in _genus_level(genus - 1)
+        for n in NumericalSemigroup.from_gap_mask(mask).minimal_generators
+        if n >= mask.bit_length()
+    ]
+    return tuple(sorted(level, key=lambda m: reverse_bits(m, 2 * genus), reverse=True))
 
 
 def enumerate_genus(genus: int, bound: int = DEFAULT_GENUS_BOUND) -> list[NumericalSemigroup]:
@@ -555,4 +535,4 @@ def enumerate_genus(genus: int, bound: int = DEFAULT_GENUS_BOUND) -> list[Numeri
         raise ValueError("genus must be nonnegative")
     if genus > bound:
         raise BoundExceeded(f"genus {genus} exceeds the configured bound {bound}")
-    return [NumericalSemigroup(gaps) for gaps in _genus_level(genus)]
+    return [NumericalSemigroup.from_gap_mask(mask) for mask in _genus_level(genus)]

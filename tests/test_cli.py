@@ -11,6 +11,7 @@ import time
 import pytest
 
 from scrollcurves import cli as cli_module
+from scrollcurves import curves as curves_module
 from scrollcurves.cli import main
 
 
@@ -63,6 +64,33 @@ class TestAnalyze:
             "2e92ddd070160e1f583d493a76ac88a1781123266c2798d37be23c89c60ae899"
         )
         assert elapsed < 3.0
+
+    def test_wider_curve_row_is_fast_and_unchanged(self, capsys):
+        # genus 19,701; the g' curve sieves 19,700 generators for a
+        # conductor of 39,004, one and of two ints per integer.  The digest
+        # is the stdout of the any() sieve and the full gonality window.
+        start = time.perf_counter()
+        code, out, _ = run_cli("analyze", "--exponents", "3,200", capsys=capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2580f1a376471eb421d32b5c92822e606fdfc4958a910001581a96ebc4901af5"
+        )
+        assert elapsed < 3.0
+
+    def test_input_past_the_schur_limit_is_refused(self, capsys):
+        code, out, err = run_cli("analyze", "--exponents", "3,401", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the branch at infinity has Schur bound 159198 on its "
+            "conductor, past the limit 50000\n"
+        )
+
+    def test_genus_count_mismatch_exits_cleanly(self, capsys, monkeypatch):
+        monkeypatch.setattr(curves_module.MonomialCurve, "genus", property(lambda self: 5))
+        code, out, err = run_cli("canonical", "--exponents", "4,5,7,8", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: (1:t^4:t^5:t^7:t^8) has 4 canonical sections but genus 5\n"
 
 
 class TestSingleValueCommands:

@@ -1,6 +1,10 @@
 """Tests for monomial curves: branch data, canonical sections, sheaves,
-gonality pencils, and the analysis record."""
+gonality pencils, and the analysis record.  The pruned gonality window is
+held to a search of the whole window, a representative's enumerated branch
+to the one its exponents generate, and the mu that `analyze` skips on
+symmetric branches to the Minkowski chain."""
 
+import math
 import random
 
 import pytest
@@ -8,6 +12,7 @@ from test_semigroups import TupleValueSet
 
 import scrollcurves.curves as curves_module
 from scrollcurves.curves import (
+    SCHUR_BOUND_LIMIT,
     SheafData,
     analyze,
     canonical_exponents,
@@ -24,6 +29,7 @@ from scrollcurves.curves import (
     verify_dualizing_candidate,
 )
 from scrollcurves.errors import (
+    BoundExceeded,
     GcdNotOne,
     GenusZero,
     NotIncreasing,
@@ -32,7 +38,7 @@ from scrollcurves.errors import (
     ZeroExponent,
 )
 from scrollcurves.fixtures import fixture, fixture_names
-from scrollcurves.semigroups import enumerate_genus, kappa_sets, make_semigroup
+from scrollcurves.semigroups import enumerate_genus, kappa_sets, make_semigroup, mu_local
 
 
 def tuple_sheaf_degree_h0(curve, generator_exponents) -> SheafData:
@@ -57,6 +63,32 @@ def tuple_sheaf_degree_h0(curve, generator_exponents) -> SheafData:
     return SheafData(degree, h0)
 
 
+def full_window_gonality_pencil(curve) -> tuple[int, int]:
+    """The gonality search before its window was pruned: every pencil in
+    the window by the closed form, ties to the smallest |n|, positive
+    first."""
+    window = 2 * (curve.s_zero.beta + curve.s_infinity.beta + 1)
+    best = (pencil_degree(curve, 1), 1)
+    for size in range(1, window + 1):
+        for n in (size, -size):
+            d = pencil_degree(curve, n)
+            if d < best[0]:
+                best = (d, n)
+    return best
+
+
+def random_exponent_sets(count: int, seed: int) -> list[tuple[int, ...]]:
+    """Seeded random strictly increasing gcd-1 exponent sets, top <= 40."""
+    rng = random.Random(seed)
+    found: list[tuple[int, ...]] = []
+    while len(found) < count:
+        top = rng.randint(2, 40)
+        exps = tuple(sorted(rng.sample(range(1, top + 1), rng.randint(1, min(5, top)))))
+        if math.gcd(*exps) == 1:
+            found.append(exps)
+    return found
+
+
 def oracle_curves():
     """The 477 genus 1-10 representatives and the 74 bundled fixture curves."""
     curves = [representative_curve(s) for g in range(1, 11) for s in enumerate_genus(g)]
@@ -78,6 +110,15 @@ class TestConstruction:
         with pytest.raises(GcdNotOne):
             make_curve((2, 4))
 
+    def test_schur_limit_on_each_branch(self):
+        # at infinity (3, b) has drops b - 3 and b: (b - 4)(b - 1) + b - 3
+        assert make_curve((3, 224), SCHUR_BOUND_LIMIT).exponents == (3, 224)
+        with pytest.raises(BoundExceeded, match="at infinity has Schur bound 50173"):
+            make_curve((3, 226), SCHUR_BOUND_LIMIT)
+        with pytest.raises(BoundExceeded, match="at t = 0 has Schur bound 50622"):
+            make_curve((224, 227), SCHUR_BOUND_LIMIT)
+        assert make_curve((224, 227)).genus == 223 * 226 // 2 + 2 * 226 // 2
+
     def test_branch_semigroups(self):
         c = make_curve((3, 4, 5, 8))
         assert c.s_zero == make_semigroup((3, 4, 5))
@@ -95,6 +136,21 @@ class TestConstruction:
 
 
 class TestRepresentative:
+    def test_enumerated_branch_is_the_sieved_one(self):
+        """A representative carries its semigroup at 0 and N at infinity;
+        sieving its exponents gives the same two branches, on every
+        semigroup of genus 1-10."""
+        count = 0
+        for genus in range(1, 11):
+            for s in enumerate_genus(genus):
+                c = representative_curve(s)
+                assert c.s_zero is s and c.s_infinity.delta == 0
+                sieved = make_curve(c.exponents)
+                assert sieved.s_zero == s, c.exponents
+                assert sieved.s_infinity.delta == 0, c.exponents
+                count += 1
+        assert count == 477
+
     def test_frozen_choices(self):
         cases = {
             (4, 6, 7, 9): (4, 6, 7, 8, 9),
@@ -247,6 +303,19 @@ class TestPencilOracle:
                     expected = sheaf_degree_h0(c, (0, n)).degree
                     assert pencil_degree(c, n) == expected, (c.exponents, n)
 
+    def test_pruned_window_matches_full_window_on_oracle_curves(self):
+        """Genus 1-11 representatives and the 74 fixture curves."""
+        curves = [representative_curve(s) for g in range(1, 12) for s in enumerate_genus(g)]
+        curves += [make_curve(row.exponents) for name in fixture_names() for row in fixture(name)]
+        assert len(curves) == 820 + 74
+        for c in curves:
+            assert gonality_pencil(c) == full_window_gonality_pencil(c), c.exponents
+
+    def test_pruned_window_matches_full_window_on_random_curves(self):
+        for exps in random_exponent_sets(2000, seed=6):
+            c = make_curve(exps)
+            assert gonality_pencil(c) == full_window_gonality_pencil(c), exps
+
     def test_winner_disagreement_is_reported(self, monkeypatch):
         c = make_curve((4, 5, 7, 8))
         wrong = SheafData(99, 0)
@@ -326,6 +395,13 @@ class TestAnalysis:
         assert analyze(make_curve((5, 6, 7, 8, 9))).label == "NN"
         assert analyze(make_curve((4, 5, 7, 8))).label == "K"
         assert analyze(make_curve((3, 7, 8, 9))).label == "--"
+
+    def test_mu_shortcut_matches_the_chain(self):
+        """analyze takes mu = 0 on a branch with eta = 0; the Minkowski
+        chain agrees on both branches of every oracle curve."""
+        for c in oracle_curves():
+            branches = (c.s_zero, c.s_infinity)
+            assert analyze(c).mu_branches == tuple(mu_local(b).mu for b in branches)
 
     def test_genus_identity_over_sweep(self):
         for genus in range(2, 8):

@@ -211,3 +211,14 @@ class TestMinors:
         for d in (2, 3, 4):
             for s in scroll_structures((0, 2, 5, 6, 7, 8), d):
                 assert minor_check((0, 2, 5, 6, 7, 8), s.blocks, s.step)
+
+    def test_every_structure_of_every_canonical_set_passes(self):
+        """Every output of scroll_structures, at every dimension, over the
+        477 canonical sets of genus 1-10."""
+        checked = 0
+        for values in canonical_sets():
+            for d in range(1, len(values) + 1):
+                for s in scroll_structures(values, d):
+                    assert minor_check(values, s.blocks, s.step), (values, d, s)
+                    checked += 1
+        assert checked > 477

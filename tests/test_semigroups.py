@@ -5,7 +5,9 @@ every candidate gap subset directly, and the named invariants are frozen
 from hand computations.  The bitmask ValueSet and the stabilizer, stable
 Minkowski power and mu built on it are held to test-local tuple versions
 (`TupleValueSet` and friends), which `test_curves.py` also uses as the
-reference for the sheaf route.
+reference for the sheaf route.  The gap-mask semigroup is held to routes
+it replaced: the window and any() sieves, invariants read off gap tuples,
+the pairwise minimal-generator search and the count of eta over K*.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scrollcurves.curves import canonical_exponents, make_curve
 from scrollcurves.errors import (
     BoundExceeded,
     EmptyGenerators,
@@ -23,10 +26,9 @@ from scrollcurves.errors import (
     NotAValidKappaStar,
 )
 from scrollcurves.semigroups import (
-    BlockDecomposition,
     MuData,
+    NumericalSemigroup,
     ValueSet,
-    block_decomposition,
     enumerate_genus,
     eta_local,
     is_symmetric,
@@ -86,6 +88,53 @@ def window_sieve_gaps(generators) -> tuple[int, ...]:
                 reach[i] = 1
     assert all(reach[limit - gens[0]:]), "window too small to certify the gap set"
     return tuple(i for i in range(limit) if not reach[i])
+
+
+def any_sieve_gaps(generators) -> tuple[int, ...]:
+    """Gap set by the streaming sieve with one any() over the generators at
+    every integer, kept as a reference for the bit-parallel sieve of
+    make_semigroup; it stops at the same run of alpha reachable integers."""
+    gens = sorted(set(generators))
+    reach = bytearray(b"\x01")
+    gaps = []
+    run = 1
+    while run < gens[0]:
+        i = len(reach)
+        if any(reach[i - g] for g in gens if g <= i):
+            reach.append(1)
+            run += 1
+        else:
+            reach.append(0)
+            gaps.append(i)
+            run = 0
+    return tuple(gaps)
+
+
+def tuple_invariants(gaps) -> tuple:
+    """(alpha, beta, gamma, delta, elements up to the conductor) read off a
+    sorted gap tuple, the way the semigroup computed them before it became
+    a gap mask."""
+    gamma = gaps[-1] if gaps else -1
+    small = tuple(x for x in range(gamma + 2) if x not in gaps)
+    alpha = min((x for x in small if x > 0), default=1)
+    return alpha, gamma + 1, gamma, len(gaps), small
+
+
+def pairwise_minimal_generators(s) -> tuple[int, ...]:
+    """Minimal generators by the pairwise search: each element n in
+    [alpha, beta + alpha) with no split a + (n - a) into nonzero elements."""
+    if s.delta == 0:
+        return (1,)
+    return tuple(
+        n
+        for n in range(s.alpha, s.beta + s.alpha)
+        if n in s
+        and not any(a in s and (n - a) in s for a in range(s.alpha, n - s.alpha + 1))
+    )
+
+
+def semigroups_up_to(genus: int):
+    return [s for g in range(genus + 1) for s in enumerate_genus(g)]
 
 
 class TupleValueSet:
@@ -181,6 +230,10 @@ def same_set(fast: ValueSet, ref: TupleValueSet) -> bool:
 
 gcd_one_generators = st.lists(
     st.integers(min_value=1, max_value=40), min_size=1, max_size=6
+).filter(lambda gens: math.gcd(*gens) == 1)
+# wider generators, so the sieve's recent-flags int spans several digits
+wide_generators = st.lists(
+    st.integers(min_value=2, max_value=300), min_size=2, max_size=4
 ).filter(lambda gens: math.gcd(*gens) == 1)
 
 
@@ -371,6 +424,66 @@ class TestConstruction:
         s = make_semigroup((4, 5, 7))
         assert s.value_set() == ValueSet((0, 4, 5), 7)
 
+    def test_from_gap_mask(self):
+        s = NumericalSemigroup.from_gap_mask(0b1001110)
+        assert s == make_semigroup((4, 5, 7)) and s.gaps == (1, 2, 3, 6)
+        assert s.generators == (4, 5, 7)
+        assert NumericalSemigroup.from_gap_mask(0, (1,)).generators == (1,)
+
+
+class TestGapMaskStorage:
+    """Invariants, views and membership of the gap mask against the same
+    values read off gap tuples."""
+
+    def assert_matches_tuples(self, s, gaps):
+        assert s.gaps == gaps
+        assert s.gap_mask == sum(1 << g for g in gaps)
+        alpha, beta, gamma, delta, small = tuple_invariants(gaps)
+        assert (s.alpha, s.beta, s.gamma, s.delta) == (alpha, beta, gamma, delta)
+        assert s.elements_below_conductor == small
+        for x in range(-3, beta + 6):
+            assert (x in s) == (x >= 0 and x not in gaps), x
+
+    def test_every_semigroup_of_genus_at_most_ten(self):
+        for s in semigroups_up_to(10):
+            gaps = s.gaps
+            self.assert_matches_tuples(s, gaps)
+            assert NumericalSemigroup(gaps) == s
+            assert NumericalSemigroup.from_gap_mask(s.gap_mask) == s
+
+    @settings(max_examples=300, deadline=None)
+    @given(gcd_one_generators)
+    def test_sieved_semigroups(self, gens):
+        self.assert_matches_tuples(make_semigroup(gens), window_sieve_gaps(gens))
+
+
+class TestMinimalGenerators:
+    """The sumset of the element mask against the pairwise search."""
+
+    def test_every_semigroup_of_genus_at_most_ten(self):
+        for s in semigroups_up_to(10):
+            assert s.minimal_generators == pairwise_minimal_generators(s), s.gaps
+
+    @settings(max_examples=300, deadline=None)
+    @given(gcd_one_generators)
+    def test_sieved_semigroups(self, gens):
+        s = make_semigroup(gens)
+        assert s.minimal_generators == pairwise_minimal_generators(s)
+
+
+class TestRoundTrips:
+    @settings(max_examples=300, deadline=None)
+    @given(gcd_one_generators)
+    def test_sieve_gaps_and_dual_agree(self, gens):
+        """make_semigroup, then semigroup_from_gaps of its gaps, then
+        recover_from_kappa_star of the dual: one semigroup throughout."""
+        s = make_semigroup(gens)
+        from_gaps = semigroup_from_gaps(s.gaps)
+        back = recover_from_kappa_star(kappa_sets(from_gaps).k_star)
+        assert s == from_gaps == back
+        assert s.gap_mask == from_gaps.gap_mask == back.gap_mask
+        assert from_gaps.generators == back.generators == s.minimal_generators
+
 
 class TestStreamingSieve:
     @settings(max_examples=300, deadline=None)
@@ -379,6 +492,18 @@ class TestStreamingSieve:
         s = make_semigroup(gens)
         assert s.gaps == window_sieve_gaps(gens)
         assert s.generators == tuple(sorted(set(gens)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(gcd_one_generators, wide_generators))
+    def test_bit_parallel_matches_any_sieve(self, gens):
+        assert make_semigroup(gens).gaps == any_sieve_gaps(gens)
+
+    def test_many_generators(self):
+        # the nonzero canonical exponents of (3, 40): the g' curve of that
+        # row sieves 740 generators up to 1480 for a conductor of 78
+        gens = [c for c in canonical_exponents(make_curve((3, 40))) if c]
+        assert (len(gens), gens[-1], make_semigroup(gens).beta) == (740, 1480, 78)
+        assert make_semigroup(gens).gaps == any_sieve_gaps(gens)
 
     @pytest.mark.parametrize(
         "a, b", [(2, 3), (2, 7), (3, 4), (3, 5), (4, 9), (5, 7), (7, 11), (3, 1001)]
@@ -426,6 +551,12 @@ class TestKappa:
                 assert is_symmetric(s) == (eta_local(s) == 0)
                 assert is_symmetric(s) == (2 * s.delta == s.beta)
 
+    def test_eta_is_the_count_over_k_star(self):
+        """The popcount of eta against one membership test per element of
+        K*, on every semigroup of genus <= 12."""
+        for s in semigroups_up_to(12):
+            assert eta_local(s) == sum(1 for a in kappa_sets(s).k_star if a not in s)
+
     def test_eta_examples(self):
         assert eta_local(make_semigroup((4, 5, 7))) == 1
         assert eta_local(make_semigroup((3, 7, 8))) == 2
@@ -470,6 +601,16 @@ class TestMu:
             for s in enumerate_genus(genus):
                 mu = mu_local(s).mu
                 assert (mu == 0) == is_symmetric(s)
+
+    def test_chain_mu_vanishes_on_symmetric_semigroups(self):
+        """The Minkowski chain gives mu = 0 on every symmetric semigroup of
+        genus <= 10, which `analyze` takes without running it."""
+        symmetric = [s for s in semigroups_up_to(10) if is_symmetric(s)]
+        # 1, 1, 1, 2, 3, 3, 6, 8, 7, 15, 20 for genus 0 to 10
+        assert len(symmetric) == 67
+        for s in symmetric:
+            assert eta_local(s) == 0
+            assert mu_local(s).mu == 0, s.gaps
 
     def test_semigroup_sits_inside_stabilizer(self):
         for genus in range(6):
@@ -523,18 +664,6 @@ class TestRecovery:
             recover_from_kappa_star((0, 1, 5))
 
 
-class TestBlocks:
-    def test_examples(self):
-        assert block_decomposition(make_semigroup((4, 5, 7))) == BlockDecomposition(
-            ((4, 5),), 1
-        )
-        assert block_decomposition(make_semigroup((5, 6, 8))) == BlockDecomposition(
-            ((5, 6), (8,)), 2
-        )
-        assert block_decomposition(make_semigroup((5, 6, 7, 8, 9))).b == 0
-        assert block_decomposition(make_semigroup((1,))).b == 0
-
-
 class TestEnumeration:
     def test_counts(self):
         expected = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592]
@@ -551,7 +680,7 @@ class TestEnumeration:
             assert ours == brute_force_genus(genus), genus
 
     def test_levels_are_sorted_and_distinct(self):
-        for genus in range(9):
+        for genus in range(13):
             gaps = [s.gaps for s in enumerate_genus(genus)]
             assert gaps == sorted(gaps)
             assert len(set(gaps)) == len(gaps)
