@@ -59,7 +59,9 @@ class Ambient:
     @classmethod
     def balanced(cls, d: int, e: int) -> "Ambient":
         """The scroll of dimension d and degree e with dims as equal as
-        possible."""
+        possible; d must be at least 1."""
+        if d < 1:
+            raise ValueError(f"a scroll needs dimension d >= 1, got {d}")
         base, extra = divmod(e, d)
         return cls((base,) * (d - extra) + (base + 1,) * extra)
 

@@ -311,31 +311,31 @@ def _pencil(g0: int, gi: int, delta_i: int, n: int) -> int:
 
 
 def gonality_pencil(curve: MonomialCurve) -> tuple[int, int]:
-    """Smallest pencil degree and the exponent achieving it.
+    """Smallest pencil degree and the smallest positive exponent achieving it.
 
-    The search window is wide enough that any exponent beyond it shifts
-    entirely past both conductors and can only do worse; ties go to the
-    exponent of smallest absolute value, positive first.  Degrees come from
-    the closed form of `pencil_degree`, with the two gap masks and their
-    popcounts read once per curve.  The closed form's counts are all
-    nonnegative, so a degree is at least |S_inf cap [0, n)| for n > 0 and
-    |S0 cap [0, -n)| for n < 0, bounds growing with |n|: each side stops once
-    its bound reaches the best degree.  The winner's degree is derived again
-    through `sheaf_degree_h0`; PathsDisagree is raised if the routes differ.
+    Multiplying by t^-n maps the sheaf of <1, t^n> onto that of <1, t^-n>,
+    so the two pencils have the same degree, and only n > 0 is scanned:
+    the smallest |n| wins a tie, positive first, so a negative exponent
+    never would.  The window ends where the pencils shift entirely past
+    both conductors and can only do worse.  Degrees come from the closed
+    form of `pencil_degree`, with the gap masks read once per curve.  Its
+    counts are nonnegative, so the degree at n is at least |S_inf cap
+    [0, n)|, and by the symmetry at least |S0 cap [0, n)| too: the scan
+    stops once the larger of the two, which never decreases with n,
+    reaches the best degree.  The winner's degree is derived again through
+    `sheaf_degree_h0`; PathsDisagree is raised if the routes differ.
     """
     s0, si = curve.s_zero, curve.s_infinity
-    g0, gi, d0, di = s0.gap_mask, si.gap_mask, s0.delta, si.delta
+    g0, gi, di = s0.gap_mask, si.gap_mask, si.delta
     window = 2 * (s0.beta + si.beta + 1)
     best = (_pencil(g0, gi, di, 1), 1)
-    sides = [(1, g0, gi, di), (-1, gi, g0, d0)]
-    for size in range(1, window + 1):
-        sides = [side for side in sides if size - (side[2] & ((1 << size) - 1)).bit_count() < best[0]]
-        if not sides:
+    for n in range(2, window + 1):
+        below = (1 << n) - 1
+        if n - min((g0 & below).bit_count(), (gi & below).bit_count()) >= best[0]:
             break
-        for sign, ga, gb, db in sides:
-            d = _pencil(ga, gb, db, size)
-            if d < best[0]:
-                best = (d, sign * size)
+        d = _pencil(g0, gi, di, n)
+        if d < best[0]:
+            best = (d, n)
     degree, n = best
     checked = sheaf_degree_h0(curve, (0, n)).degree
     if checked != degree:
@@ -390,15 +390,17 @@ class CurveAnalysis:
 def analyze(curve: MonomialCurve) -> CurveAnalysis:
     """Compute the full invariant record of a curve.
 
-    The genus identity g = g' + eta + mu is asserted whenever the canonical
-    morphism is birational (fold 1) and the genus is at least 2; a failure
-    would mean two independent computation paths disagree.
+    eta and mu are the sums of the local defects of the two branches, each
+    read from `eta_local` and `mu_local` (which answers a symmetric branch
+    without sieving).  The genus identity g = g' + eta + mu is asserted
+    whenever the canonical morphism is birational (fold 1) and the genus is
+    at least 2; a failure would mean two independent computation paths
+    disagree.
     """
     g = curve.genus
     branches = (curve.s_zero, curve.s_infinity)
     eta_b = tuple(eta_local(s) for s in branches)
-    # a branch with eta 0 is symmetric, so K = S is its own stabilizer
-    mu_b = tuple(mu_local(s).mu if e else 0 for s, e in zip(branches, eta_b))
+    mu_b = tuple(mu_local(s).mu for s in branches)
     eta, mu = sum(eta_b), sum(mu_b)
     if g == 0:
         canonical: tuple[int, ...] = ()

@@ -5,8 +5,8 @@ is floating point.  A numerical semigroup is a cofinite subset of the
 nonnegative integers containing 0 and closed under addition.  Alongside the
 semigroups themselves the module manipulates "value sets": cofinite integer
 sets stored as a bitmask of a finite part plus an infinite tail.  That is
-the shape taken by shifted semigroups, their unions and Minkowski sums, and
-the dual set measuring how far a semigroup is from being symmetric.
+the shape taken by shifted semigroups and their unions, and by the dual
+set measuring how far a semigroup is from being symmetric.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class ValueSet:
     the finite part is empty, and then ``low == tail_start``), no bit
     reaches the tail, and the integer immediately below the tail is absent
     (it would otherwise be absorbed into the tail).  Equality of triples is
-    therefore equality of sets, and shifts, unions, Minkowski sums and
-    difference counts are shifts, ors and popcounts of ``mask``.
+    therefore equality of sets, and shifts, unions and difference counts
+    are shifts, ors and popcounts of ``mask``.
 
     >>> ValueSet((3, 5, 6, 7), 8) == ValueSet((3,), 5)
     True
@@ -128,21 +128,6 @@ class ValueSet:
         low = min(self.low, other.low)
         mask = self.mask << (self.low - low) | other.mask << (other.low - low)
         return ValueSet._from_mask(low, mask, min(self.tail_start, other.tail_start))
-
-    def minkowski(self, other: ValueSet) -> ValueSet:
-        """Minkowski sum: every a + b with a in self and b in other.
-
-        The sum of two tailed sets is again a tailed set.  Its tail starts
-        no later than min element + other tail (in either order), and every
-        sum below that threshold uses finite elements from both operands:
-        the or of the other mask shifted by each set bit of this one.
-        """
-        tail = min(
-            self.min_element + other.tail_start,
-            other.min_element + self.tail_start,
-        )
-        few, many = sorted((self.mask, other.mask), key=int.bit_count)
-        return ValueSet._from_mask(self.low + other.low, sumset(few, many), tail)
 
     def elements_up_to(self, n: int) -> list[int]:
         """Sorted list of all members x with x <= n."""
@@ -427,55 +412,36 @@ def eta_local(s: NumericalSemigroup) -> int:
     return (reverse_bits(s.gap_mask, s.beta) & s.gap_mask).bit_count()
 
 
-def stable_minkowski_power(v: ValueSet, max_steps: int = 10000) -> ValueSet:
-    """Limit of the increasing chain v, v+v, v+v+v, ...
-
-    Requires 0 in v so the chain is increasing; the chain lives inside a
-    fixed finite window plus tail, hence stabilizes.
-    """
-    if 0 not in v:
-        raise ValueError("stabilization needs 0 in the value set")
-    current = v
-    for _ in range(max_steps):
-        nxt = current.minkowski(v)
-        if nxt == current:
-            return current
-        current = nxt
-    raise BoundExceeded("Minkowski chain failed to stabilize")
-
-
-def stabilizer(v: ValueSet) -> ValueSet:
-    """All a >= 0 with a + v contained in v, as a tailed set.
-
-    Every a at or past the tail start qualifies (v contains 0, so a itself
-    must land in v, and larger shifts stay in the tail), which keeps the
-    check finite.  Below the tail start, a qualifies when the finite mask
-    shifted by a meets none of the holes of v, the integers between its
-    min element and its tail that it misses: (mask << a) & holes == 0.
-    """
-    tail = max(0, v.tail_start)
-    holes = ~v.mask & ((1 << (v.tail_start - v.low)) - 1)
-    # distinct powers of two, so the sum is their or
-    good = sum(1 << a for a in range(tail) if not (v.mask << a) & holes)
-    return ValueSet._from_mask(0, good, tail)
-
-
 @dataclass(frozen=True)
 class MuData:
-    """mu together with the two sets the computation passes through."""
+    """mu together with the semigroup that K generates."""
 
     mu: int
-    stabilizer: ValueSet
-    stable_power: ValueSet
+    closure: NumericalSemigroup
 
 
 def mu_local(s: NumericalSemigroup) -> MuData:
-    """The second symmetry defect: #(T \\ K) for T the stabilizer of the
-    stable Minkowski power of K."""
-    k = kappa_sets(s).k
-    stable = stable_minkowski_power(k)
-    t = stabilizer(stable)
-    return MuData(t.count_difference(k), t, stable)
+    """The second symmetry defect #(<K> \\ K), and <K> itself.
+
+    K contains 0, so the chain K, 2K, 3K, ... of Minkowski powers grows up
+    to <K>, the semigroup K generates, and a semigroup is its own
+    stabilizer: <K> is the stabilizer of the stable power.  Both K and <K>
+    hold every integer from beta on, and K holds delta integers below it,
+    so mu = (beta - delta) - delta(<K>).  <K> is sieved by `make_semigroup`
+    from the nonzero elements of K below beta and beta, ..., beta + alpha
+    - 1 (alpha lies in S, hence in K, and reaches the rest).  A symmetric
+    semigroup (2 delta = beta) has K = S, so <K> = S and mu = 0 with no
+    sieve.
+
+    >>> data = mu_local(make_semigroup((4, 5, 7)))
+    >>> data.mu, data.closure.gaps
+    (1, (1, 2))
+    """
+    if 2 * s.delta == s.beta:
+        return MuData(0, s)
+    nonzero = reverse_bits(s.gap_mask, s.beta) & -2
+    closure = make_semigroup(set_bits(nonzero) + tuple(range(s.beta, s.beta + s.alpha)))
+    return MuData(s.beta - s.delta - closure.delta, closure)
 
 
 def recover_from_kappa_star(values) -> NumericalSemigroup:

@@ -46,6 +46,9 @@ class TestAmbient:
         assert Ambient.balanced(2, 5).dims == (2, 3)
         assert Ambient.balanced(3, 3).dims == (1, 1, 1)
         assert Ambient.balanced(3, 7).dims == (2, 2, 3)
+        for d in (0, -1):
+            with pytest.raises(ValueError, match="dimension d >= 1"):
+                Ambient.balanced(d, 3)
 
     def test_invariants(self):
         amb = Ambient((1, 2, 3))

@@ -53,9 +53,10 @@ class TestAnalyze:
 
     def test_wide_curve_row_is_fast_and_unchanged(self, capsys):
         # genus 4,851: the dualizing certificate shifts the semigroup at
-        # infinity once per canonical exponent, and mu takes the stabilizer
-        # of a 4,752-element set; both are int-mask work, not loops over
-        # tuples.  The digest is the stdout of the tuple-set routes.
+        # infinity once per canonical exponent, as int-mask work, not loops
+        # over tuples; both branches have two generators, so they are
+        # symmetric and mu needs no sieve.  The digest is the stdout of the
+        # tuple-set routes.
         start = time.perf_counter()
         code, out, _ = run_cli("analyze", "--exponents", "3,100", capsys=capsys)
         elapsed = time.perf_counter() - start
@@ -77,6 +78,20 @@ class TestAnalyze:
             "2580f1a376471eb421d32b5c92822e606fdfc4958a910001581a96ebc4901af5"
         )
         assert elapsed < 3.0
+
+    def test_non_symmetric_wide_row_is_fast_and_unchanged(self, capsys):
+        # genus 8,177; the branch at infinity has eta 73, so mu sieves the
+        # semigroup its K generates, where a Minkowski chain of K took
+        # 56 sumsets over the whole mask.  The digest is the stdout of the
+        # chain and the stabilizer.
+        start = time.perf_counter()
+        code, out, _ = run_cli("analyze", "--exponents", "4,6,223", capsys=capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "afac58f94642afd4aceff547c8b72ea897c4d1b0ee0b27d90ab4ea27bce376e5"
+        )
+        assert elapsed < 1.0
 
     def test_input_past_the_schur_limit_is_refused(self, capsys):
         code, out, err = run_cli("analyze", "--exponents", "3,401", capsys=capsys)
@@ -233,6 +248,14 @@ class TestFormula:
         )
         assert code == 2
         assert "error" in err
+
+    def test_chi_rejects_zero_dimension(self, capsys):
+        code, out, err = run_cli(
+            "formula", "chi", "--d", "0", "--e", "3", "--h", "1", "--f", "1",
+            capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_chi_rejects_cone(self, capsys):
         code, _, _ = run_cli(

@@ -1,14 +1,16 @@
 """Tests for monomial curves: branch data, canonical sections, sheaves,
-gonality pencils, and the analysis record.  The pruned gonality window is
-held to a search of the whole window, a representative's enumerated branch
-to the one its exponents generate, and the mu that `analyze` skips on
-symmetric branches to the Minkowski chain."""
+gonality pencils, and the analysis record.  The pruned one-sided gonality
+window is held to a search of the whole window on both sides, and the
+symmetry of pencil degrees it rests on is checked directly; a
+representative's enumerated branch is held to the one its exponents
+generate, and the closed-form mu of `analyze` to the tuple Minkowski
+chain."""
 
 import math
 import random
 
 import pytest
-from test_semigroups import TupleValueSet
+from test_semigroups import TupleValueSet, tuple_mu_local
 
 import scrollcurves.curves as curves_module
 from scrollcurves.curves import (
@@ -38,7 +40,7 @@ from scrollcurves.errors import (
     ZeroExponent,
 )
 from scrollcurves.fixtures import fixture, fixture_names
-from scrollcurves.semigroups import enumerate_genus, kappa_sets, make_semigroup, mu_local
+from scrollcurves.semigroups import enumerate_genus, kappa_sets, make_semigroup
 
 
 def tuple_sheaf_degree_h0(curve, generator_exponents) -> SheafData:
@@ -67,9 +69,8 @@ def full_window_gonality_pencil(curve) -> tuple[int, int]:
     """The gonality search before its window was pruned: every pencil in
     the window by the closed form, ties to the smallest |n|, positive
     first."""
-    window = 2 * (curve.s_zero.beta + curve.s_infinity.beta + 1)
     best = (pencil_degree(curve, 1), 1)
-    for size in range(1, window + 1):
+    for size in range(1, window(curve) + 1):
         for n in (size, -size):
             d = pencil_degree(curve, n)
             if d < best[0]:
@@ -87,6 +88,19 @@ def random_exponent_sets(count: int, seed: int) -> list[tuple[int, ...]]:
         if math.gcd(*exps) == 1:
             found.append(exps)
     return found
+
+
+def window_curves():
+    """The 155 genus 1-8 representatives and the 74 bundled fixture curves."""
+    curves = [representative_curve(s) for g in range(1, 9) for s in enumerate_genus(g)]
+    curves += [make_curve(row.exponents) for name in fixture_names() for row in fixture(name)]
+    assert len(curves) == 155 + 74
+    return curves
+
+
+def window(curve) -> int:
+    """The half-width of the gonality window of a curve."""
+    return 2 * (curve.s_zero.beta + curve.s_infinity.beta + 1)
 
 
 def oracle_curves():
@@ -242,8 +256,7 @@ class TestSheafOracle:
 
     def test_pencils_in_the_gonality_window(self):
         for c in oracle_curves():
-            window = 2 * (c.s_zero.beta + c.s_infinity.beta + 1)
-            for n in range(-window, window + 1):
+            for n in range(-window(c), window(c) + 1):
                 if n:
                     expected = tuple_sheaf_degree_h0(c, (0, n))
                     assert sheaf_degree_h0(c, (0, n)) == expected, (c.exponents, n)
@@ -293,15 +306,19 @@ class TestPencilOracle:
     def test_closed_form_matches_sheaf_route(self):
         """Every pencil in the gonality window of the genus 1-8
         representatives and of every bundled fixture curve."""
-        curves = [representative_curve(s) for g in range(1, 9) for s in enumerate_genus(g)]
-        curves += [make_curve(row.exponents) for name in fixture_names() for row in fixture(name)]
-        assert len(curves) == 155 + 74
-        for c in curves:
-            window = 2 * (c.s_zero.beta + c.s_infinity.beta + 1)
-            for n in range(-window, window + 1):
+        for c in window_curves():
+            for n in range(-window(c), window(c) + 1):
                 if n:
                     expected = sheaf_degree_h0(c, (0, n)).degree
                     assert pencil_degree(c, n) == expected, (c.exponents, n)
+
+    def test_pencil_degree_is_even_in_the_exponent(self):
+        """deg <1, t^n> = deg <1, t^-n> on every n in the window of the
+        genus 1-8 representatives and of every bundled fixture curve: the
+        fact that lets `gonality_pencil` scan n > 0 only."""
+        for c in window_curves():
+            for n in range(1, window(c) + 1):
+                assert pencil_degree(c, n) == pencil_degree(c, -n), (c.exponents, n)
 
     def test_pruned_window_matches_full_window_on_oracle_curves(self):
         """Genus 1-11 representatives and the 74 fixture curves."""
@@ -346,10 +363,9 @@ class TestMultiWordPencils:
         beta0, beta_inf, gon = self.CURVES[exponents]
         assert (c.s_zero.beta, c.s_infinity.beta) == (beta0, beta_inf)
         assert gonality(c) == gon
-        window = 2 * (beta0 + beta_inf + 1)
         rng = random.Random(sum(exponents))
         ns = {n for n in range(-64, 65) if n}
-        ns |= {rng.choice((1, -1)) * rng.randint(1, window) for _ in range(200)}
+        ns |= {rng.choice((1, -1)) * rng.randint(1, window(c)) for _ in range(200)}
         for n in sorted(ns):
             expected = sheaf_degree_h0(c, (0, n)).degree
             assert pencil_degree(c, n) == expected, (exponents, n)
@@ -397,11 +413,11 @@ class TestAnalysis:
         assert analyze(make_curve((3, 7, 8, 9))).label == "--"
 
     def test_mu_shortcut_matches_the_chain(self):
-        """analyze takes mu = 0 on a branch with eta = 0; the Minkowski
-        chain agrees on both branches of every oracle curve."""
+        """analyze reads mu from the semigroup K generates; the tuple
+        Minkowski chain agrees on both branches of every oracle curve."""
         for c in oracle_curves():
             branches = (c.s_zero, c.s_infinity)
-            assert analyze(c).mu_branches == tuple(mu_local(b).mu for b in branches)
+            assert analyze(c).mu_branches == tuple(tuple_mu_local(b)[0] for b in branches)
 
     def test_genus_identity_over_sweep(self):
         for genus in range(2, 8):

@@ -2,12 +2,13 @@
 
 The enumeration is cross-checked against a brute-force oracle that tries
 every candidate gap subset directly, and the named invariants are frozen
-from hand computations.  The bitmask ValueSet and the stabilizer, stable
-Minkowski power and mu built on it are held to test-local tuple versions
-(`TupleValueSet` and friends), which `test_curves.py` also uses as the
-reference for the sheaf route.  The gap-mask semigroup is held to routes
-it replaced: the window and any() sieves, invariants read off gap tuples,
-the pairwise minimal-generator search and the count of eta over K*.
+from hand computations.  The bitmask ValueSet is held to a test-local
+tuple version (`TupleValueSet`), which `test_curves.py` also uses as the
+reference for the sheaf route, and the closed-form mu to the route it
+replaced: the stabilizer of the stable Minkowski power of K, on tuples.
+The gap-mask semigroup is held to routes it replaced: the window and any()
+sieves, invariants read off gap tuples, the pairwise minimal-generator
+search and the count of eta over K*.
 """
 
 import math
@@ -37,8 +38,6 @@ from scrollcurves.semigroups import (
     mu_local,
     recover_from_kappa_star,
     semigroup_from_gaps,
-    stable_minkowski_power,
-    stabilizer,
 )
 
 
@@ -224,6 +223,15 @@ def tuple_mu_local(s):
     return t.count_difference(k), t, stable
 
 
+def generated_semigroup(v):
+    """The semigroup a tuple set holding 0 and its tail generates: the
+    nonzero finite elements and tail, ..., 2 tail - 1 generate it."""
+    if v.tail_start == 0:
+        return NumericalSemigroup(())
+    finite = [x for x in v.finite_part if x]
+    return make_semigroup(finite + list(range(v.tail_start, 2 * v.tail_start)))
+
+
 def same_set(fast: ValueSet, ref: TupleValueSet) -> bool:
     return (fast.finite_part, fast.tail_start) == (ref.finite_part, ref.tail_start)
 
@@ -257,18 +265,6 @@ class TestValueSet:
         a = ValueSet((0, 4), 7)
         b = ValueSet((2,), 5)
         assert a.union(b) == ValueSet((0, 2, 4), 5)
-
-    def test_minkowski_golden(self):
-        k = ValueSet((0, 3, 4, 5), 7)
-        square = k.minkowski(k)
-        assert square == ValueSet((0,), 3)
-
-    def test_minkowski_tail_from_finite_plus_tail(self):
-        a = ValueSet((2,), 10)
-        b = ValueSet((0,), 4)
-        out = a.minkowski(b)
-        assert out.tail_start == 6
-        assert out.finite_part == (2,)
 
     def test_elements_up_to(self):
         v = ValueSet((1, 4), 6)
@@ -344,12 +340,6 @@ class TestValueSetOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(value_set_args, value_set_args)
-    def test_minkowski(self, a, b):
-        fast = ValueSet(*a).minkowski(ValueSet(*b))
-        assert same_set(fast, TupleValueSet(*a).minkowski(TupleValueSet(*b)))
-
-    @settings(max_examples=300, deadline=None)
-    @given(value_set_args, value_set_args)
     def test_count_difference(self, a, b):
         fast_a, fast_b = ValueSet(*a), ValueSet(*b)
         ref_a, ref_b = TupleValueSet(*a), TupleValueSet(*b)
@@ -357,17 +347,22 @@ class TestValueSetOracle:
         assert fast_b.count_difference(fast_a) == ref_b.count_difference(ref_a)
 
     @settings(max_examples=300, deadline=None)
-    @given(value_set_args)
+    @given(nonnegative_args)
     def test_stabilizer(self, args):
-        assert same_set(stabilizer(ValueSet(*args)), tuple_stabilizer(TupleValueSet(*args)))
+        """The stable power of a set holding 0 is its own stabilizer."""
+        finite, tail = args
+        stable = tuple_stable_minkowski_power(TupleValueSet([0] + finite, tail))
+        assert tuple_stabilizer(stable) == stable
 
     @settings(max_examples=300, deadline=None)
     @given(nonnegative_args)
     def test_stable_minkowski_power(self, args):
+        """The chain v, v+v, ... of a set holding 0 ends at the semigroup v
+        generates, as sieved by `make_semigroup`."""
         finite, tail = args
-        finite = [0] + finite
-        fast = stable_minkowski_power(ValueSet(finite, tail))
-        assert same_set(fast, tuple_stable_minkowski_power(TupleValueSet(finite, tail)))
+        v = TupleValueSet([0] + finite, tail)
+        fast = generated_semigroup(v).value_set()
+        assert same_set(fast, tuple_stable_minkowski_power(v))
 
 
 class TestConstruction:
@@ -567,16 +562,17 @@ class TestMu:
     def test_blowup_chain_golden(self):
         s = make_semigroup((4, 5, 7))
         data = mu_local(s)
-        assert data.stable_power == ValueSet((0,), 3)
-        assert data.stabilizer == ValueSet((0,), 3)
+        assert data.closure == make_semigroup((3, 4, 5))
+        assert data.closure.value_set() == ValueSet((0,), 3)
         assert data.mu == 1
 
     def test_square_fills_everything(self):
         s = make_semigroup((3, 7, 8))
         k = kappa_sets(s).k
         assert k == ValueSet((0, 1, 3, 4), 6)
-        assert stable_minkowski_power(k) == ValueSet((), 0)
-        assert mu_local(s).mu == 2
+        chain = tuple_stable_minkowski_power(TupleValueSet(k.finite_part, k.tail_start))
+        assert chain == TupleValueSet((), 0)
+        assert mu_local(s) == MuData(2, NumericalSemigroup(()))
 
     def test_mu_frozen_examples(self):
         cases = {
@@ -603,20 +599,22 @@ class TestMu:
                 assert (mu == 0) == is_symmetric(s)
 
     def test_chain_mu_vanishes_on_symmetric_semigroups(self):
-        """The Minkowski chain gives mu = 0 on every symmetric semigroup of
-        genus <= 10, which `analyze` takes without running it."""
+        """The tuple Minkowski chain gives mu = 0 on every symmetric
+        semigroup of genus <= 10, which `mu_local` returns, with S as its
+        closure, without a sieve."""
         symmetric = [s for s in semigroups_up_to(10) if is_symmetric(s)]
         # 1, 1, 1, 2, 3, 3, 6, 8, 7, 15, 20 for genus 0 to 10
         assert len(symmetric) == 67
         for s in symmetric:
             assert eta_local(s) == 0
-            assert mu_local(s).mu == 0, s.gaps
+            assert tuple_mu_local(s)[0] == 0, s.gaps
+            assert mu_local(s) == MuData(0, s), s.gaps
 
     def test_semigroup_sits_inside_stabilizer(self):
         for genus in range(6):
             for s in enumerate_genus(genus):
-                t = mu_local(s).stabilizer
-                for a in s.elements_below_conductor:
+                t = mu_local(s).closure
+                for a in s.elements_below_conductor + kappa_sets(s).k_star:
                     assert a in t
 
     def test_eta_one_forces_mu_one(self):
@@ -626,7 +624,8 @@ class TestMu:
                     assert mu_local(s).mu == 1
 
     def test_mu_matches_tuple_route(self):
-        """mu and both MuData sets on every semigroup of genus <= 10."""
+        """mu and the closure <K> on every semigroup of genus <= 10: <K> is
+        both the tuple stable power of K and that power's stabilizer."""
         count = 0
         for genus in range(11):
             for s in enumerate_genus(genus):
@@ -634,13 +633,19 @@ class TestMu:
                 data = mu_local(s)
                 assert isinstance(data, MuData)
                 assert data.mu == mu, s
-                assert same_set(data.stabilizer, t), s
-                assert same_set(data.stable_power, stable), s
+                assert same_set(data.closure.value_set(), stable), s
+                assert same_set(data.closure.value_set(), t), s
                 count += 1
         assert count == 478
 
     def test_stabilizer_of_everything(self):
-        assert stabilizer(ValueSet((), 0)) == ValueSet((), 0)
+        """N is symmetric, K = N is its own stable power and stabilizer,
+        and `mu_local` returns N as the closure."""
+        everything = TupleValueSet((), 0)
+        assert tuple_stable_minkowski_power(everything) == everything
+        assert tuple_stabilizer(everything) == everything
+        n = NumericalSemigroup(())
+        assert mu_local(n) == MuData(0, n)
 
 
 class TestRecovery:
