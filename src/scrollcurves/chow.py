@@ -3,7 +3,12 @@
 The Chow ring of a smooth d-dimensional scroll of degree e is generated by
 the hyperplane class H and the fiber class F subject to F^2 = 0,
 H^(d+1) = 0, H^d F = 0 and H^d = e H^(d-1) F.  Elements are kept in normal
-form as dictionaries mapping (i, j) to rational coefficients of H^i F^j.
+form as dictionaries mapping (i, j) to the coefficient of H^i F^j.  The
+coefficients are integers, as are H, F, the Chern classes and every divisor
+and bundle class; a coefficient is a Fraction only where an input had one.
+Each rational value (a closed form, or a ring route's Todd and Chern
+character denominators 2, 6, 12 and 24) is one Fraction built at the end
+from an integer numerator over a fixed denominator.
 On top of the ring sit the closed-form Euler characteristics for surfaces
 and threefolds, rank-2 bundle computations, arithmetic-genus formulas, and
 two report generators that check a curve record against the structural
@@ -26,7 +31,7 @@ from .errors import (
     UnsupportedDimension,
 )
 
-ChowElement = dict[tuple[int, int], Fraction]
+ChowElement = dict[tuple[int, int], int | Fraction]
 
 
 @dataclass(frozen=True)
@@ -96,19 +101,22 @@ def _require_smooth(amb: Ambient) -> None:
 
 
 def chow_element(amb: Ambient, coefficients) -> ChowElement:
-    """Normal form of a coefficient dictionary {(i, j): c} for H^i F^j."""
+    """Normal form of a coefficient dictionary {(i, j): c} for H^i F^j;
+    int coefficients stay ints and any other is read as a Fraction."""
     _require_smooth(amb)
+    d, e = amb.d, amb.e
     out: ChowElement = {}
     for (i, j), c in coefficients.items():
-        c = Fraction(c)
-        if c == 0 or j >= 2 or i > amb.d:
+        if not isinstance(c, int):
+            c = Fraction(c)
+        if c == 0 or j >= 2 or i > d:
             continue
-        if i == amb.d:
+        if i == d:
             if j == 1:
                 continue
-            i, j, c = amb.d - 1, 1, c * amb.e
+            i, j, c = d - 1, 1, c * e
         key = (i, j)
-        out[key] = out.get(key, Fraction(0)) + c
+        out[key] = out.get(key, 0) + c
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -125,22 +133,22 @@ def divisor_element(amb: Ambient, c: DivisorClass) -> ChowElement:
 
 
 def chow_mul(amb: Ambient, x: ChowElement, y: ChowElement) -> ChowElement:
-    raw: dict[tuple[int, int], Fraction] = {}
+    raw: ChowElement = {}
     for (i1, j1), c1 in x.items():
         for (i2, j2), c2 in y.items():
             key = (i1 + i2, j1 + j2)
-            raw[key] = raw.get(key, Fraction(0)) + c1 * c2
+            raw[key] = raw.get(key, 0) + c1 * c2
     return chow_element(amb, raw)
 
 
-def chow_degree(amb: Ambient, x: ChowElement) -> Fraction:
-    """Coefficient of the top class H^(d-1) F; anything else present means
-    the element is not top-dimensional."""
+def chow_degree(amb: Ambient, x: ChowElement) -> int | Fraction:
+    """Coefficient of the top class H^(d-1) F, an int for an integer class;
+    anything else present means the element is not top-dimensional."""
     top = (amb.d - 1, 1)
     for key, c in x.items():
         if key != top and c != 0:
             raise NotTopDimensional(f"class has a component on H^{key[0]} F^{key[1]}")
-    return x.get(top, Fraction(0))
+    return x.get(top, 0)
 
 
 def chow_mul_degree(amb: Ambient, x: ChowElement, y: ChowElement):
@@ -203,25 +211,29 @@ def _chern_classes(amb: Ambient) -> tuple[ChowElement, ChowElement]:
 
 
 def _chi_closed_form(amb: Ambient, c: DivisorClass) -> Fraction:
-    h, f, e = Fraction(c.h), Fraction(c.f), amb.e
+    """chi(O(hH + fF)) as an integer polynomial over 2 (d = 2) or 6 (d = 3)."""
+    h, f, e = c.h, c.f, amb.e
     if amb.d == 2:
-        return 1 + h + f + h * f + Fraction(e, 2) * h * (h + 1)
+        return Fraction(2 + 2 * h + 2 * f + 2 * h * f + e * h * (h + 1), 2)
     if amb.d == 3:
-        return (
-            1
-            + Fraction(2 * e + 9, 6) * h
-            + f
-            + Fraction(e + 1, 2) * h ** 2
-            + Fraction(3, 2) * h * f
-            + Fraction(e, 6) * h ** 3
-            + Fraction(1, 2) * h ** 2 * f
+        return Fraction(
+            6
+            + (2 * e + 9) * h
+            + 6 * f
+            + 3 * (e + 1) * h ** 2
+            + 9 * h * f
+            + e * h ** 3
+            + 3 * h ** 2 * f,
+            6,
         )
     raise UnsupportedDimension(f"closed-form chi needs d in {{2, 3}}, got d={amb.d}")
 
 
 def euler_characteristic_chow(amb: Ambient, c: DivisorClass) -> Fraction:
     """Euler characteristic evaluated through the Chow ring (the
-    Riemann-Roch expansion), as an independent route to the closed form."""
+    Riemann-Roch expansion), as an independent route to the closed form:
+    the integer degrees of the expansion over their common denominator,
+    12 for surfaces and 24 for threefolds."""
     _require_smooth(amb)
     c1, c2 = _chern_classes(amb)
     dd = divisor_element(amb, c)
@@ -229,30 +241,31 @@ def euler_characteristic_chow(amb: Ambient, c: DivisorClass) -> Fraction:
         shifted = chow_element(
             amb, {(1, 0): c.h + 2, (0, 1): c.f + 2 - amb.e}
         )
-        main = chow_degree(amb, chow_mul(amb, dd, shifted)) / 2
-        todd = (chow_degree(amb, chow_mul(amb, c1, c1)) + chow_degree(amb, c2)) / 12
-        return main + todd
+        main = chow_degree(amb, chow_mul(amb, dd, shifted))
+        todd = chow_degree(amb, chow_mul(amb, c1, c1)) + chow_degree(amb, c2)
+        return Fraction(6 * main + todd, 12)
     d2 = chow_mul(amb, dd, dd)
     d3 = chow_mul(amb, d2, dd)
     c1sq_plus_c2 = _add(chow_mul(amb, c1, c1), c2)
-    return (
-        chow_degree(amb, d3) / 6
-        + chow_degree(amb, chow_mul(amb, d2, c1)) / 4
-        + chow_degree(amb, chow_mul(amb, dd, c1sq_plus_c2)) / 12
-        + chow_degree(amb, chow_mul(amb, c1, c2)) / 24
+    return Fraction(
+        4 * chow_degree(amb, d3)
+        + 6 * chow_degree(amb, chow_mul(amb, d2, c1))
+        + 2 * chow_degree(amb, chow_mul(amb, dd, c1sq_plus_c2))
+        + chow_degree(amb, chow_mul(amb, c1, c2)),
+        24,
     )
 
 
 def _add(x: ChowElement, y: ChowElement) -> ChowElement:
     out = dict(x)
     for k, v in y.items():
-        out[k] = out.get(k, Fraction(0)) + v
+        out[k] = out.get(k, 0) + v
     return {k: v for k, v in out.items() if v != 0}
 
 
 def _scale(x: ChowElement, s) -> ChowElement:
-    s = Fraction(s)
-    return {k: v * s for k, v in x.items() if v * s != 0}
+    """s times an element in normal form (no zero coefficients)."""
+    return {k: v * s for k, v in x.items()} if s != 0 else {}
 
 
 def euler_characteristic(amb: Ambient, c: DivisorClass) -> int:
@@ -274,43 +287,44 @@ def _bundle_chi_dual_fraction(amb: Ambient, b: RankTwoBundleClass) -> Fraction:
     if amb.d != 3:
         raise UnsupportedDimension("rank-2 bundle chi is coded for threefolds only")
     _require_smooth(amb)
-    u, v, w, z = (Fraction(t) for t in (b.u, b.v, b.w, b.z))
+    u, v, w, z = b.u, b.v, b.w, b.z
     e = amb.e
-    closed = (
-        2
-        - Fraction(2 * e + 9, 6) * u
-        - v
-        - (e + 1) * w
-        - Fraction(3, 2) * z
-        + Fraction(e + 1, 2) * u ** 2
-        + Fraction(3, 2) * u * v
-        + Fraction(e, 2) * u * w
-        + Fraction(1, 2) * u * z
-        + Fraction(1, 2) * v * w
-        - Fraction(e, 6) * u ** 3
-        - Fraction(1, 2) * u ** 2 * v
+    closed = Fraction(
+        12
+        - (2 * e + 9) * u
+        - 6 * v
+        - 6 * (e + 1) * w
+        - 9 * z
+        + 3 * (e + 1) * u ** 2
+        + 9 * u * v
+        + 3 * e * u * w
+        + 3 * u * z
+        + 3 * v * w
+        - e * u ** 3
+        - 3 * u ** 2 * v,
+        6,
     )
-    # independent route: ch(dual E) * Todd, degree-3 piece
-    c1 = chow_element(amb, {(1, 0): b.u, (0, 1): b.v})
-    c2 = chow_element(amb, {(2, 0): b.w, (1, 1): b.z})
+    # independent route: the degree-3 piece of ch(dual E) * Todd, formed
+    # times 24 as 2 t1 t2 - 2 c1 (t1^2 + t2) + 6 (c1^2 - 2 c2) t1
+    # - 4 (c1^3 - 3 c1 c2), so every coefficient stays an integer
+    c1 = chow_element(amb, {(1, 0): u, (0, 1): v})
+    c2 = chow_element(amb, {(2, 0): w, (1, 1): z})
     c1sq = chow_mul(amb, c1, c1)
-    ch2 = _scale(_add(c1sq, _scale(c2, -2)), Fraction(1, 2))
-    ch3 = _scale(
-        _add(chow_mul(amb, c1sq, c1), _scale(chow_mul(amb, c1, c2), -3)),
-        Fraction(-1, 6),
-    )
     t1, t2 = _chern_classes(amb)
-    td1 = _scale(t1, Fraction(1, 2))
-    td2 = _scale(_add(chow_mul(amb, t1, t1), t2), Fraction(1, 12))
-    td3 = _scale(chow_mul(amb, t1, t2), Fraction(1, 24))
     total = _add(
-        _add(_scale(td3, 2), chow_mul(amb, _scale(c1, -1), td2)),
-        _add(chow_mul(amb, ch2, td1), ch3),
+        _add(
+            _scale(chow_mul(amb, t1, t2), 2),
+            chow_mul(amb, _scale(c1, -2), _add(chow_mul(amb, t1, t1), t2)),
+        ),
+        _add(
+            chow_mul(amb, _scale(_add(c1sq, _scale(c2, -2)), 6), t1),
+            _scale(_add(chow_mul(amb, c1sq, c1), _scale(chow_mul(amb, c1, c2), -3)), -4),
+        ),
     )
-    top = total.get((2, 1), Fraction(0))
-    if closed != top:
+    ring = Fraction(total.get((2, 1), 0), 24)
+    if closed != ring:
         raise PathsDisagree(
-            f"bundle chi closed form {closed} vs ring evaluation {top}"
+            f"bundle chi closed form {closed} vs ring evaluation {ring}"
         )
     return closed
 
@@ -343,7 +357,7 @@ def pa_from_bundle(amb: Ambient, b: RankTwoBundleClass) -> int:
     )
     c2e = chow_element(amb, {(2, 0): w, (1, 1): z})
     adjoint = chow_element(amb, {(1, 0): u - 3, (0, 1): v + e - 2})
-    path_c = 1 + chow_degree(amb, chow_mul(amb, c2e, adjoint)) / 2
+    path_c = 1 + Fraction(chow_degree(amb, chow_mul(amb, c2e, adjoint)), 2)
     path_d = 1 + Fraction((u - 3) * (w * e + z) + w * (v + n - 4), 2)
     if not (path_a == path_b == path_c == path_d):
         raise PathsDisagree(

@@ -35,7 +35,7 @@ class ValueSet:
     the finite part is empty, and then ``low == tail_start``), no bit
     reaches the tail, and the integer immediately below the tail is absent
     (it would otherwise be absorbed into the tail).  Equality of triples is
-    therefore equality of sets, and shifts, unions and difference counts
+    therefore equality of sets, and shifted unions and difference counts
     are shifts, ors and popcounts of ``mask``.
 
     >>> ValueSet((3, 5, 6, 7), 8) == ValueSet((3,), 5)
@@ -108,10 +108,6 @@ class ValueSet:
         bits |= self.mask << offset if offset >= 0 else self.mask >> -offset
         return bits & ((1 << width) - 1)
 
-    def shift(self, k: int) -> ValueSet:
-        """Translate the whole set by the integer k."""
-        return ValueSet._from_mask(self.low + k, self.mask, self.tail_start + k)
-
     def shifted_union(self, shifts) -> ValueSet:
         """The union of self + k over the given shifts, as one or of the
         shifted masks, normalized once."""
@@ -123,17 +119,6 @@ class ValueSet:
         for k in ks:
             mask |= self.mask << (k - first)
         return ValueSet._from_mask(self.low + first, mask, self.tail_start + first)
-
-    def union(self, other: ValueSet) -> ValueSet:
-        low = min(self.low, other.low)
-        mask = self.mask << (self.low - low) | other.mask << (other.low - low)
-        return ValueSet._from_mask(low, mask, min(self.tail_start, other.tail_start))
-
-    def elements_up_to(self, n: int) -> list[int]:
-        """Sorted list of all members x with x <= n."""
-        out = [x for x in self.finite_part if x <= n]
-        out.extend(range(self.tail_start, n + 1))
-        return out
 
     def count_difference(self, other: ValueSet) -> int:
         """Number of elements of self that are not in other (always finite):
@@ -431,16 +416,19 @@ def mu_local(s: NumericalSemigroup) -> MuData:
     from the nonzero elements of K below beta and beta, ..., beta + alpha
     - 1 (alpha lies in S, hence in K, and reaches the rest).  A symmetric
     semigroup (2 delta = beta) has K = S, so <K> = S and mu = 0 with no
-    sieve.
+    sieve.  <K> is returned by its gap mask alone, so it reports its minimal
+    generators, not the ones it was sieved or given with.
 
     >>> data = mu_local(make_semigroup((4, 5, 7)))
     >>> data.mu, data.closure.gaps
     (1, (1, 2))
     """
     if 2 * s.delta == s.beta:
-        return MuData(0, s)
-    nonzero = reverse_bits(s.gap_mask, s.beta) & -2
-    closure = make_semigroup(set_bits(nonzero) + tuple(range(s.beta, s.beta + s.alpha)))
+        mask = s.gap_mask
+    else:
+        nonzero = reverse_bits(s.gap_mask, s.beta) & -2
+        mask = make_semigroup(set_bits(nonzero) + tuple(range(s.beta, s.beta + s.alpha))).gap_mask
+    closure = NumericalSemigroup.from_gap_mask(mask)
     return MuData(s.beta - s.delta - closure.delta, closure)
 
 

@@ -1,15 +1,26 @@
-"""Tests for the intersection-theory module."""
+"""Tests for the intersection-theory module.
+
+The integer-coefficient ring and its closed forms over fixed denominators
+are held to the Fraction-dict ring they replaced, kept below as test-local
+copies (`ref_*`): hypothesis compares normal forms, products, both closed
+forms, both ring routes and the genus on random smooth scrolls.
+`test_chow_sympy.py` adds a symbolic third route.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollcurves.chow import (
     Ambient,
     DivisorClass,
     RankTwoBundleClass,
+    _bundle_chi_dual_fraction,
+    _chi_closed_form,
     bundle_chi_dual,
     canonical_class,
     chow_degree,
@@ -39,6 +50,153 @@ from scrollcurves.errors import (
 def split_bundle(a: int, b: int, c: int, d: int) -> RankTwoBundleClass:
     """Chern data of O(aH + bF) + O(cH + dF)."""
     return RankTwoBundleClass(a + c, b + d, a * c, a * d + b * c)
+
+
+# The Fraction-dict ring: every coefficient is coerced to a Fraction, and
+# each route sums Fractions term by term.
+
+
+def ref_chow_element(amb, coefficients):
+    out = {}
+    for (i, j), c in coefficients.items():
+        c = Fraction(c)
+        if c == 0 or j >= 2 or i > amb.d:
+            continue
+        if i == amb.d:
+            if j == 1:
+                continue
+            i, j, c = amb.d - 1, 1, c * amb.e
+        key = (i, j)
+        out[key] = out.get(key, Fraction(0)) + c
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def ref_chow_mul(amb, x, y):
+    raw = {}
+    for (i1, j1), c1 in x.items():
+        for (i2, j2), c2 in y.items():
+            key = (i1 + i2, j1 + j2)
+            raw[key] = raw.get(key, Fraction(0)) + c1 * c2
+    return ref_chow_element(amb, raw)
+
+
+def ref_degree(amb, x):
+    assert set(x) <= {(amb.d - 1, 1)}, x
+    return x.get((amb.d - 1, 1), Fraction(0))
+
+
+def ref_add(x, y):
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, Fraction(0)) + v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def ref_scale(x, s):
+    s = Fraction(s)
+    return {k: v * s for k, v in x.items() if v * s != 0}
+
+
+def ref_chern_classes(amb):
+    e = amb.e
+    if amb.d == 2:
+        return (
+            ref_chow_element(amb, {(1, 0): 2, (0, 1): 2 - e}),
+            ref_chow_element(amb, {(1, 1): 4}),
+        )
+    return (
+        ref_chow_element(amb, {(1, 0): 3, (0, 1): 2 - e}),
+        ref_chow_element(amb, {(2, 0): 3, (1, 1): 6 - 2 * e}),
+    )
+
+
+def ref_chi_closed_form(amb, c):
+    h, f, e = Fraction(c.h), Fraction(c.f), amb.e
+    if amb.d == 2:
+        return 1 + h + f + h * f + Fraction(e, 2) * h * (h + 1)
+    return (
+        1
+        + Fraction(2 * e + 9, 6) * h
+        + f
+        + Fraction(e + 1, 2) * h ** 2
+        + Fraction(3, 2) * h * f
+        + Fraction(e, 6) * h ** 3
+        + Fraction(1, 2) * h ** 2 * f
+    )
+
+
+def ref_chi_ring(amb, c):
+    c1, c2 = ref_chern_classes(amb)
+    dd = ref_chow_element(amb, {(1, 0): c.h, (0, 1): c.f})
+    if amb.d == 2:
+        shifted = ref_chow_element(amb, {(1, 0): c.h + 2, (0, 1): c.f + 2 - amb.e})
+        main = ref_degree(amb, ref_chow_mul(amb, dd, shifted)) / 2
+        todd = (ref_degree(amb, ref_chow_mul(amb, c1, c1)) + ref_degree(amb, c2)) / 12
+        return main + todd
+    d2 = ref_chow_mul(amb, dd, dd)
+    d3 = ref_chow_mul(amb, d2, dd)
+    c1sq_plus_c2 = ref_add(ref_chow_mul(amb, c1, c1), c2)
+    return (
+        ref_degree(amb, d3) / 6
+        + ref_degree(amb, ref_chow_mul(amb, d2, c1)) / 4
+        + ref_degree(amb, ref_chow_mul(amb, dd, c1sq_plus_c2)) / 12
+        + ref_degree(amb, ref_chow_mul(amb, c1, c2)) / 24
+    )
+
+
+def ref_bundle_chi_closed_form(amb, b):
+    u, v, w, z = (Fraction(t) for t in (b.u, b.v, b.w, b.z))
+    e = amb.e
+    return (
+        2
+        - Fraction(2 * e + 9, 6) * u
+        - v
+        - (e + 1) * w
+        - Fraction(3, 2) * z
+        + Fraction(e + 1, 2) * u ** 2
+        + Fraction(3, 2) * u * v
+        + Fraction(e, 2) * u * w
+        + Fraction(1, 2) * u * z
+        + Fraction(1, 2) * v * w
+        - Fraction(e, 6) * u ** 3
+        - Fraction(1, 2) * u ** 2 * v
+    )
+
+
+def ref_bundle_chi_ring(amb, b):
+    """The degree-3 piece of ch(dual E) * Todd, each class scaled by its
+    own Fraction."""
+    c1 = ref_chow_element(amb, {(1, 0): b.u, (0, 1): b.v})
+    c2 = ref_chow_element(amb, {(2, 0): b.w, (1, 1): b.z})
+    c1sq = ref_chow_mul(amb, c1, c1)
+    ch2 = ref_scale(ref_add(c1sq, ref_scale(c2, -2)), Fraction(1, 2))
+    ch3 = ref_scale(
+        ref_add(ref_chow_mul(amb, c1sq, c1), ref_scale(ref_chow_mul(amb, c1, c2), -3)),
+        Fraction(-1, 6),
+    )
+    t1, t2 = ref_chern_classes(amb)
+    td1 = ref_scale(t1, Fraction(1, 2))
+    td2 = ref_scale(ref_add(ref_chow_mul(amb, t1, t1), t2), Fraction(1, 12))
+    td3 = ref_scale(ref_chow_mul(amb, t1, t2), Fraction(1, 24))
+    total = ref_add(
+        ref_add(ref_scale(td3, 2), ref_chow_mul(amb, ref_scale(c1, -1), td2)),
+        ref_add(ref_chow_mul(amb, ch2, td1), ch3),
+    )
+    return total.get((2, 1), Fraction(0))
+
+
+def smooth_ambients(ds=(2, 3)):
+    return st.sampled_from(ds).flatmap(
+        lambda d: st.lists(st.integers(1, 8), min_size=d, max_size=d).map(Ambient)
+    )
+
+
+small = st.integers(-30, 30)
+small_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+monomials = st.tuples(st.integers(0, 4), st.integers(0, 2))
+int_coefficients = st.dictionaries(monomials, small, max_size=8)
+fraction_coefficients = st.dictionaries(monomials, small_fractions, max_size=8)
+mixed_coefficients = st.dictionaries(monomials, small | small_fractions, max_size=8)
 
 
 class TestAmbient:
@@ -78,6 +236,10 @@ class TestRingNormalForm:
     def test_top_power_rewrites(self):
         amb = Ambient((1, 1, 1))
         assert chow_element(amb, {(3, 0): 1}) == {(2, 1): Fraction(3)}
+        assert type(chow_element(amb, {(3, 0): 1})[(2, 1)]) is int
+        assert chow_element(amb, {(3, 0): Fraction(1, 2)}) == {(2, 1): Fraction(3, 2)}
+        # coefficients that cancel leave no entry
+        assert chow_element(amb, {(3, 0): Fraction(1, 3), (2, 1): -1}) == {}
 
     def test_vanishing_monomials(self):
         amb = Ambient((1, 1, 1))
@@ -244,6 +406,77 @@ class TestBundleGenus:
             assert bundle.w == 4
             assert bundle.z == 10 - 2 * g
             assert pa_from_bundle(amb, bundle) == g
+
+
+class TestIntegerRingOracle:
+    """The integer ring against the Fraction-dict copies above, in value;
+    every class and twist coefficient is in [-30, 30]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(smooth_ambients(), int_coefficients)
+    def test_chow_element_int_inputs_stay_ints(self, amb, coefficients):
+        element = chow_element(amb, coefficients)
+        assert element == ref_chow_element(amb, coefficients)
+        assert all(type(c) is int and c != 0 for c in element.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(smooth_ambients(), fraction_coefficients)
+    def test_chow_element_fraction_inputs(self, amb, coefficients):
+        element = chow_element(amb, coefficients)
+        assert element == ref_chow_element(amb, coefficients)
+        assert all(type(c) is Fraction and c != 0 for c in element.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(smooth_ambients(), mixed_coefficients, mixed_coefficients)
+    def test_mixed_elements_and_products(self, amb, x, y):
+        fast_x, fast_y = chow_element(amb, x), chow_element(amb, y)
+        ref_x, ref_y = ref_chow_element(amb, x), ref_chow_element(amb, y)
+        assert fast_x == ref_x and fast_y == ref_y
+        assert chow_mul(amb, fast_x, fast_y) == ref_chow_mul(amb, ref_x, ref_y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(smooth_ambients(), small, small, small, small)
+    def test_integer_degree_is_an_int(self, amb, h1, f1, h2, f2):
+        x = divisor_element(amb, DivisorClass(h1, f1))
+        for _ in range(amb.d - 2):
+            x = chow_mul(amb, x, hyperplane(amb))
+        product = chow_mul(amb, x, divisor_element(amb, DivisorClass(h2, f2)))
+        degree = chow_degree(amb, product)
+        assert type(degree) is int
+        ref_x = ref_chow_element(amb, {(1, 0): h1, (0, 1): f1})
+        for _ in range(amb.d - 2):
+            ref_x = ref_chow_mul(amb, ref_x, ref_chow_element(amb, {(1, 0): 1}))
+        ref_y = ref_chow_element(amb, {(1, 0): h2, (0, 1): f2})
+        assert degree == ref_degree(amb, ref_chow_mul(amb, ref_x, ref_y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(smooth_ambients(), small, small)
+    def test_chi_routes(self, amb, h, f):
+        c = DivisorClass(h, f)
+        closed = _chi_closed_form(amb, c)
+        ring = euler_characteristic_chow(amb, c)
+        assert type(closed) is Fraction and type(ring) is Fraction
+        assert closed == ref_chi_closed_form(amb, c)
+        assert ring == ref_chi_ring(amb, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(smooth_ambients((3,)), small, small, small, small)
+    def test_bundle_chi_routes(self, amb, u, v, w, z):
+        b = RankTwoBundleClass(u, v, w, z)
+        expected = ref_bundle_chi_closed_form(amb, b)
+        assert ref_bundle_chi_ring(amb, b) == expected
+        assert _bundle_chi_dual_fraction(amb, b) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(smooth_ambients((3,)), small, small, small, small)
+    def test_genus_matches_resolution_route(self, amb, u, v, w, z):
+        b = RankTwoBundleClass(u, v, w, z)
+        expected = ref_bundle_chi_ring(amb, b) - ref_chi_ring(amb, DivisorClass(-u, -v))
+        if expected.denominator != 1:
+            with pytest.raises(NonIntegralGenus):
+                pa_from_bundle(amb, b)
+        else:
+            assert pa_from_bundle(amb, b) == expected
 
 
 class TestGenusFormulas:
