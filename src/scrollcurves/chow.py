@@ -151,16 +151,6 @@ def chow_degree(amb: Ambient, x: ChowElement) -> int | Fraction:
     return x.get(top, 0)
 
 
-def chow_mul_degree(amb: Ambient, x: ChowElement, y: ChowElement):
-    """Product in normal form, plus its degree when top-dimensional."""
-    product = chow_mul(amb, x, y)
-    try:
-        degree = chow_degree(amb, product)
-    except NotTopDimensional:
-        return product, None
-    return product, int(degree) if degree.denominator == 1 else degree
-
-
 def h0_class(amb: Ambient, c: DivisorClass) -> tuple[int, bool]:
     """Global sections of O(hH + fF), with a flag for vanishing of all
     higher cohomology.

@@ -26,9 +26,9 @@ from .catalog import (
 )
 from .chow import Ambient, DivisorClass, RankTwoBundleClass, euler_characteristic, pa_from_bundle
 from .curves import SCHUR_BOUND_LIMIT, canonical_exponents, gonality, make_curve
-from .errors import ScrollCurvesError
+from .errors import BoundExceeded, ScrollCurvesError
 from .fixtures import fixture_names
-from .scrolls import min_scroll_dimension, scroll_structures
+from .scrolls import SPLIT_LIMIT, min_scroll_dimension, scroll_structures, split_count
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
@@ -108,9 +108,15 @@ def _cmd_scrolls(args) -> int:
     curve = make_curve(args.exponents, SCHUR_BOUND_LIMIT)
     canon = canonical_exponents(curve)
     msd = min_scroll_dimension(canon)
+    depths = range(msd, min(args.max_dim, len(canon)) + 1)
+    if split_count(canon, depths) > SPLIT_LIMIT:
+        raise BoundExceeded(
+            f"scroll structures up to dimension {depths[-1]} take more than "
+            f"{SPLIT_LIMIT} block splits"
+        )
     print("canonical exponents:", " ".join(map(str, canon)))
     print("min scroll dimension:", msd)
-    for d in range(msd, min(args.max_dim, len(canon)) + 1):
+    for d in depths:
         for s in scroll_structures(canon, d):
             dims = ",".join(map(str, s.scroll_type.dims))
             blocks = "|".join(",".join(map(str, b)) for b in s.blocks)

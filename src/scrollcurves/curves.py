@@ -40,8 +40,8 @@ class MonomialCurve:
     s_zero is generated by the exponents themselves (values of functions at
     t = 0), s_infinity by the drops from the top exponent (values at
     t = infinity, where 1/t is the local parameter); either is sieved only
-    when not passed in.  The canonical exponents are kept too, once
-    `canonical_exponents` has computed them.
+    when not passed in.  The raw canonical sections are kept too, once
+    `canonical_section_exponents` has computed them.
     """
 
     __slots__ = ("exponents", "_s_zero", "_s_infinity", "_canonical")
@@ -160,19 +160,21 @@ def canonical_section_exponents(curve: MonomialCurve) -> tuple[int, ...]:
     The form t^c dt has a pole-free expansion at t = 0 unless -c-1 is a
     local value there, and at infinity (parameter u = 1/t, where it reads
     -u^(-c-2) du up to sign) unless c+1 is a local value.  The count always
-    equals the genus.
+    equals the genus.  They are computed once and kept on the curve object.
     """
-    s0, si = curve.s_zero, curve.s_infinity
-    raw = tuple(
-        c
-        for c in range(-s0.beta, si.beta - 1)
-        if (-c - 1) not in s0 and (c + 1) not in si
-    )
-    if len(raw) != curve.genus:
-        raise PathsDisagree(
-            f"{curve} has {len(raw)} canonical sections but genus {curve.genus}"
+    if curve._canonical is None:
+        s0, si = curve.s_zero, curve.s_infinity
+        raw = tuple(
+            c
+            for c in range(-s0.beta, si.beta - 1)
+            if (-c - 1) not in s0 and (c + 1) not in si
         )
-    return raw
+        if len(raw) != curve.genus:
+            raise PathsDisagree(
+                f"{curve} has {len(raw)} canonical sections but genus {curve.genus}"
+            )
+        curve._canonical = raw
+    return curve._canonical
 
 
 def normalize_values(values) -> tuple[int, ...]:
@@ -200,15 +202,14 @@ def canonical_exponents(curve: MonomialCurve) -> tuple[int, ...]:
     """Normalized canonical exponents (smallest shifted to 0).
 
     For a curve with a smooth point at infinity this is exactly the finite
-    dual part of the semigroup at the other point.  They are computed once
-    per curve object, so a catalog filter that reads them before `analyze`
-    does not make `analyze` compute them again.
+    dual part of the semigroup at the other point.  They are read from the
+    raw sections the curve object keeps, so a catalog filter that reads
+    them before `analyze` does not make `analyze` compute them again.
     """
-    if curve._canonical is None:
-        if curve.genus == 0:
-            raise GenusZero(f"{curve} has genus 0, no canonical sections")
-        curve._canonical = normalize_values(canonical_section_exponents(curve))
-    return curve._canonical
+    if curve.genus == 0:
+        raise GenusZero(f"{curve} has genus 0, no canonical sections")
+    raw = canonical_section_exponents(curve)
+    return tuple(c - raw[0] for c in raw)
 
 
 @dataclass(frozen=True)
@@ -223,38 +224,45 @@ def sheaf_degree_h0(curve: MonomialCurve, generator_exponents) -> SheafData:
     """Invariants of the subsheaf of the function field spanned by the
     monomials t^b over the coordinate ring.
 
-    The local stalk at each point is a union of shifted semigroups: at
-    t = 0 the union of S0 + b, at infinity the union of S_inf - b, each
-    built as one or of the shifted semigroup masks (`ValueSet.shifted_union`)
-    and normalized once.  Degree contributions are counted with sign (stalk
-    gains minus stalk losses against the semigroup itself, each a popcount),
-    so negative shifts are handled uniformly.  The sections are the c with
-    c in the stalk at 0 and -c in the stalk at infinity; both sets are read
-    as masks over [min stalk0, -min stalk_inf], the second bit-reversed, and
-    h0 is the popcount of their and.  This general route certifies the
-    dualizing sheaf, re-derives the degree of every winning gonality pencil,
-    and is the oracle the tests hold the closed form of `pencil_degree` to.
+    The stalk at t = 0 is the union U0 of S0 + b, the stalk at infinity the
+    union U_inf of S_inf - b; `_stalk` writes each, and its semigroup, as a
+    mask over [lo, top), lo = min(b_min, 0) at t = 0 and min(-b_max, 0) at
+    infinity.  The degree counts stalk gains minus losses against the
+    semigroups, each a popcount, so negative shifts need no special case;
+    h0 counts the c in U0 with -c in U_inf, one popcount against U_inf
+    reversed.  This general route certifies the dualizing sheaf, re-derives
+    the degree of every winning gonality pencil, and is the oracle of the
+    closed form of `pencil_degree`.
     """
-    gens = sorted(set(int(b) for b in generator_exponents))
+    gens = tuple(int(b) for b in generator_exponents)
     if not gens:
         raise ValueError("at least one generator exponent is required")
-    vs0 = curve.s_zero.value_set()
-    vsi = curve.s_infinity.value_set()
-    stalk0 = vs0.shifted_union(gens)
-    stalki = vsi.shifted_union(-b for b in gens)
-    degree = (
-        stalk0.count_difference(vs0)
-        - vs0.count_difference(stalk0)
-        + stalki.count_difference(vsi)
-        - vsi.count_difference(stalki)
-    )
-    lo, hi = stalk0.min_element, 1 - stalki.min_element
-    h0 = 0
-    if hi > lo:
-        at_zero = stalk0.window(lo, hi)
-        at_infinity = stalki.window(1 - hi, 1 - lo)
-        h0 = (at_zero & reverse_bits(at_infinity, hi - lo)).bit_count()
+    first, last = min(gens), max(gens)
+    s0, si = curve.s_zero, curve.s_infinity
+    lo0, loi = min(first, 0), min(-last, 0)
+    top = max(s0.beta + max(last, 0), si.beta + max(-first, 0), 1 - lo0, 1 - loi)
+    u0, own0 = _stalk(s0, gens, lo0, top)
+    ui, owni = _stalk(si, [-b for b in gens], loi, top)
+    degree = (u0 & ~own0).bit_count() - (own0 & ~u0).bit_count()
+    degree += (ui & ~owni).bit_count() - (owni & ~ui).bit_count()
+    h0 = (u0 & reverse_bits(ui, 1 - loi - lo0)).bit_count()
     return SheafData(degree, h0)
+
+
+def _stalk(s: NumericalSemigroup, shifts, lo: int, top: int) -> tuple[int, int]:
+    """The union of s + k over the shifts, and s, as masks with bit i for
+    lo + i below top (past beta plus the largest shift): the finite part of
+    s below beta shifted once per distinct shift, in increasing order so the
+    union widens one shift at a time, and each tail filled once."""
+    finite = ~s.gap_mask & ((1 << s.beta) - 1)
+    ks = sorted(set(shifts))
+    union = 0
+    for k in ks:
+        union |= finite << (k - lo)
+    full = (1 << (top - lo)) - 1
+    tail = s.beta + ks[0] - lo
+    own = finite << -lo | full >> (s.beta - lo) << (s.beta - lo)
+    return union | full >> tail << tail, own
 
 
 def verify_dualizing_candidate(curve: MonomialCurve, generator_exponents) -> bool:
@@ -283,7 +291,7 @@ def pencil_degree(curve: MonomialCurve, n: int) -> int:
       those whose successor by n is also a gap.
 
     For n < 0 the two points trade roles under t -> 1/t.  The result equals
-    `sheaf_degree_h0(curve, (0, n)).degree` without building a ValueSet.
+    `sheaf_degree_h0(curve, (0, n)).degree` without building either stalk.
 
     >>> pencil_degree(make_curve((4, 5, 7, 8)), 2)
     4

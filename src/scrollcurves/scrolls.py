@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .chow import Ambient
 from .semigroups import bitmask
+
+# Most block splits (`split_count`) the scrolls command walks: a few seconds.
+SPLIT_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -35,10 +39,10 @@ class ScrollStructure:
     def ell(self) -> int:
         return self.step // self.kappa
 
-    @property
+    @cached_property
     def scroll_type(self) -> Ambient:
         """The scroll the blocks span: one dimension per block, its size
-        less one (an Ambient sorts them ascending)."""
+        less one (an Ambient sorts them ascending), built once."""
         return Ambient(tuple(len(b) - 1 for b in self.blocks))
 
     @property
@@ -73,15 +77,17 @@ def run_decomposition(values, step: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in runs)
 
 
-def _compositions(total: int, parts: int):
-    """Compositions of total into the given number of positive parts, in
-    descending lexicographic order."""
-    if parts == 1:
-        yield (total,)
+def _compositions(total: int, caps: tuple[int, ...]):
+    """Compositions of total into len(caps) positive parts, part i at most
+    caps[i], in descending lexicographic order, trying no dead prefix."""
+    if len(caps) == 1:
+        if 1 <= total <= caps[0]:
+            yield (total,)
         return
-    for first in range(total - parts + 1, 0, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    rest = caps[1:]
+    for first in range(min(caps[0], total - len(rest)), max(total - sum(rest), 1) - 1, -1):
+        for tail in _compositions(total - first, rest):
+            yield (first,) + tail
 
 
 def _cut(run: tuple[int, ...], sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -103,6 +109,25 @@ def _run_count(mask: int, size: int, step: int) -> int:
     return size - (mask & mask >> step).bit_count()
 
 
+def _block_values(values, *dims: int) -> tuple[int, ...]:
+    """The sorted distinct values, checked to take each number of blocks
+    in dims."""
+    vals = tuple(sorted(set(int(v) for v in values)))
+    if not vals:
+        raise ValueError("the exponent set is empty")
+    for d in dims:
+        if d < 1 or d > len(vals):
+            raise ValueError(f"block count {d} out of range for {len(vals)} elements")
+    return vals
+
+
+def _steps(vals: tuple[int, ...]) -> tuple[range, int]:
+    """The steps of a sorted set of two or more values, the multiples of
+    its gcd of differences up to its span, and the set's bitmask."""
+    kappa = math.gcd(*(v - vals[0] for v in vals))
+    return range(kappa, vals[-1] - vals[0] + 1, kappa), bitmask(v - vals[0] for v in vals)
+
+
 def scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
     """All scroll structures with exactly d blocks on the given set.
 
@@ -116,30 +141,23 @@ def scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
     A step yields a structure exactly when it has at most d runs, except
     that with d equal to the set size only the base step reports.  Run
     counts come from a popcount of the set's bitmask (see `_run_count`),
-    so `run_decomposition` is called only for the steps that yield.
+    so `run_decomposition` runs only for them; `split_count` counts splits.
     """
-    vals = tuple(sorted(set(int(v) for v in values)))
+    vals = _block_values(values, d)
     n = len(vals)
-    if n == 0:
-        raise ValueError("the exponent set is empty")
-    if d < 1 or d > n:
-        raise ValueError(f"block count {d} out of range for {n} elements")
     if n == 1:
         return (ScrollStructure(1, ((vals[0],),), 1),)
-    kappa = math.gcd(*(v - vals[0] for v in vals))
-    span = vals[-1] - vals[0]
-    mask = bitmask(v - vals[0] for v in vals)
+    steps, mask = _steps(vals)
+    kappa = steps.start
     out: list[ScrollStructure] = []
-    for step in range(kappa, span + 1, kappa):
+    for step in steps:
         if _run_count(mask, n, step) > d or (d == n and step != kappa):
             continue
         runs = run_decomposition(vals, step)
         seen: set[tuple[int, ...]] = set()
-        for pieces_per_run in _compositions(d, len(runs)):
-            if any(k > len(r) for k, r in zip(pieces_per_run, runs)):
-                continue
+        for pieces_per_run in _compositions(d, tuple(len(r) for r in runs)):
             split_menu = [
-                list(_compositions(len(r), k))
+                list(_compositions(len(r), (len(r),) * k))
                 for r, k in zip(runs, pieces_per_run)
             ]
             for choice in product(*split_menu):
@@ -154,24 +172,42 @@ def scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
     return tuple(out)
 
 
+def split_count(values, dims) -> int:
+    """Number of block splits `scroll_structures(values, d)` walks before
+    dropping repeated block sizes, summed over the block counts d in dims:
+    over the steps it visits (only the base step when d = n), the sum over
+    pieces per run of the product of C(|run| - 1, k - 1), which is
+    C(n - r, d - r) for r runs.  The run counts are taken once.
+
+    >>> split_count((0, 1, 2, 3), (2,))
+    4
+    """
+    dims = tuple(dims)
+    vals = _block_values(values, *dims)
+    n = len(vals)
+    runs = _run_counts(vals) if n > 1 else ()
+    return sum(
+        1 if d == n else sum(math.comb(n - r, d - r) for r in runs if r <= d)
+        for d in dims
+    )
+
+
 def min_scroll_dimension(values) -> int:
     """Fewest blocks any step allows: the minimum scroll dimension.
 
     This is the fewest maximal runs over the steps that are multiples of
-    the gcd of differences, each count a popcount of the set's bitmask
-    (see `_run_count`); no run is built.
+    the gcd of differences (see `_run_count`); no run is built.
     """
-    vals = tuple(sorted(set(int(v) for v in values)))
-    if not vals:
-        raise ValueError("the exponent set is empty")
+    vals = _block_values(values)
     if len(vals) == 1:
         return 1
-    kappa = math.gcd(*(v - vals[0] for v in vals))
-    span = vals[-1] - vals[0]
-    mask = bitmask(v - vals[0] for v in vals)
-    return min(
-        _run_count(mask, len(vals), step) for step in range(kappa, span + 1, kappa)
-    )
+    return min(_run_counts(vals))
+
+
+def _run_counts(vals: tuple[int, ...]) -> list[int]:
+    """The run count at each step of a sorted set of two or more values."""
+    steps, mask = _steps(vals)
+    return [_run_count(mask, len(vals), step) for step in steps]
 
 
 def minor_check(values, blocks, step: int) -> bool:

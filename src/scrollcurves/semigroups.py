@@ -3,10 +3,9 @@
 Everything here is integer arithmetic on tuples and int bitmasks; nothing
 is floating point.  A numerical semigroup is a cofinite subset of the
 nonnegative integers containing 0 and closed under addition.  Alongside the
-semigroups themselves the module manipulates "value sets": cofinite integer
-sets stored as a bitmask of a finite part plus an infinite tail.  That is
-the shape taken by shifted semigroups and their unions, and by the dual
-set measuring how far a semigroup is from being symmetric.
+semigroups themselves the module keeps "value sets": cofinite integer sets
+stored as a bitmask of a finite part plus an infinite tail, the shape of
+the dual set measuring how far a semigroup is from being symmetric.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ class ValueSet:
     the finite part is empty, and then ``low == tail_start``), no bit
     reaches the tail, and the integer immediately below the tail is absent
     (it would otherwise be absorbed into the tail).  Equality of triples is
-    therefore equality of sets, and shifted unions and difference counts
-    are shifts, ors and popcounts of ``mask``.
+    therefore equality of sets.
 
     >>> ValueSet((3, 5, 6, 7), 8) == ValueSet((3,), 5)
     True
@@ -92,40 +90,6 @@ class ValueSet:
     def finite_part(self) -> tuple[int, ...]:
         """The finite elements, sorted."""
         return set_bits(self.mask, self.low)
-
-    @property
-    def min_element(self) -> int:
-        return self.low
-
-    def window(self, lo: int, hi: int) -> int:
-        """The members x with lo <= x < hi as a mask, bit j for lo + j."""
-        width = hi - lo
-        if width <= 0:
-            return 0
-        tail = max(self.tail_start - lo, 0)
-        bits = ((1 << width) - 1) >> tail << tail
-        offset = self.low - lo
-        bits |= self.mask << offset if offset >= 0 else self.mask >> -offset
-        return bits & ((1 << width) - 1)
-
-    def shifted_union(self, shifts) -> ValueSet:
-        """The union of self + k over the given shifts, as one or of the
-        shifted masks, normalized once."""
-        ks = sorted(set(shifts))
-        if not ks:
-            raise ValueError("the union needs at least one shift")
-        first = ks[0]
-        mask = 0
-        for k in ks:
-            mask |= self.mask << (k - first)
-        return ValueSet._from_mask(self.low + first, mask, self.tail_start + first)
-
-    def count_difference(self, other: ValueSet) -> int:
-        """Number of elements of self that are not in other (always finite):
-        a popcount over [min low, max tail), past which both hold everything."""
-        lo = min(self.low, other.low)
-        hi = max(self.tail_start, other.tail_start)
-        return (self.window(lo, hi) & ~other.window(lo, hi)).bit_count()
 
 
 def _canonical(low: int, mask: int, tail: int) -> tuple[int, int, int]:
@@ -288,10 +252,6 @@ class NumericalSemigroup:
         """
         elements = ~self.gap_mask & ((2 << (self.beta + self.alpha)) - 2)
         return set_bits(elements & ~sumset(elements, elements))
-
-    def value_set(self) -> ValueSet:
-        """The semigroup as a tailed set: the gap mask's complement, then beta on."""
-        return ValueSet._from_mask(0, ~self.gap_mask & ((1 << self.beta) - 1), self.beta)
 
 
 def make_semigroup(generators) -> NumericalSemigroup:

@@ -8,6 +8,7 @@ import pytest
 
 from scrollcurves import catalog as catalog_module
 from scrollcurves import curves as curves_module
+from scrollcurves import scrolls as scrolls_module
 from scrollcurves.catalog import (
     AuditReport,
     CatalogRow,
@@ -304,6 +305,46 @@ class TestComputeOnce:
             assert len(calls) - before == report.total - early, name
             total += len(calls) - before
         assert total == 62
+
+    def test_raw_canonical_sections_computed_once_per_row(self, monkeypatch):
+        """Every catalog row reads its raw sections at least twice (for the
+        canonical exponents and for the dualizing check), and each read
+        returns the one tuple computed for that curve."""
+        original = curves_module.canonical_section_exponents
+        sections: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+        def recording(curve):
+            raw = original(curve)
+            sections.setdefault(curve.exponents, []).append(raw)
+            return raw
+
+        for module in (curves_module, catalog_module):
+            monkeypatch.setattr(module, "canonical_section_exponents", recording)
+        rows = build_catalog(range(4, 9))
+        assert len(rows) == len(sections) == 148
+        for row in rows:
+            reads = sections[row.exponents]
+            assert len(reads) >= 2, row.exponents
+            assert all(raw is reads[0] for raw in reads), row.exponents
+            assert len(reads[0]) == row.genus
+
+    def test_render_builds_one_ambient_per_structure(self, monkeypatch):
+        rows = build_catalog(range(4, 8))
+        structures = sum(len(row.structures) for row in rows)
+        assert structures > len(rows)
+        built = []
+        original = scrolls_module.Ambient
+
+        def counting(dims):
+            built.append(dims)
+            return original(dims)
+
+        monkeypatch.setattr(scrolls_module, "Ambient", counting)
+        outputs = [render(rows, fmt) for fmt in ("json", "csv", "markdown")]
+        assert len(built) == structures
+        # a second pass reads every scroll type from its structure
+        assert [render(rows, fmt) for fmt in ("json", "csv", "markdown")] == outputs
+        assert len(built) == structures
 
     def test_analyze_succeeds_on_every_fixture_curve(self):
         rows = [row for name in fixture_names() for row in fixture(name)]

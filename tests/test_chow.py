@@ -26,7 +26,6 @@ from scrollcurves.chow import (
     chow_degree,
     chow_element,
     chow_mul,
-    chow_mul_degree,
     divisor_element,
     euler_characteristic,
     euler_characteristic_chow,
@@ -256,21 +255,18 @@ class TestRingNormalForm:
         amb = Ambient((1, 1, 1))
         h = hyperplane(amb)
         h2 = chow_mul(amb, h, h)
-        _, degree = chow_mul_degree(amb, h2, h)
-        assert degree == 3
+        assert chow_degree(amb, chow_mul(amb, h2, h)) == 3
 
     def test_hyperplane_square_fiber(self):
         amb = Ambient((1, 1, 1))
         h = hyperplane(amb)
         h2 = chow_mul(amb, h, h)
-        _, degree = chow_mul_degree(amb, h2, fiber(amb))
-        assert degree == 1
+        assert chow_degree(amb, chow_mul(amb, h2, fiber(amb))) == 1
 
     def test_surface_divisor_product(self):
         amb = Ambient.balanced(2, 4)
         d = divisor_element(amb, DivisorClass(2, 3))
-        _, degree = chow_mul_degree(amb, d, hyperplane(amb))
-        assert degree == 11
+        assert chow_degree(amb, chow_mul(amb, d, hyperplane(amb))) == 11
 
     def test_degree_rejects_mixed(self):
         amb = Ambient((1, 1))
@@ -279,9 +275,10 @@ class TestRingNormalForm:
 
     def test_mul_degree_none_when_not_top(self):
         amb = Ambient((1, 1, 1))
-        product, degree = chow_mul_degree(amb, hyperplane(amb), hyperplane(amb))
-        assert degree is None
+        product = chow_mul(amb, hyperplane(amb), hyperplane(amb))
         assert product == {(2, 0): Fraction(1)}
+        with pytest.raises(NotTopDimensional):
+            chow_degree(amb, product)
 
 
 class TestSections:

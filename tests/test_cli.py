@@ -151,6 +151,42 @@ class TestSingleValueCommands:
         assert code == 0
         assert not any(line.startswith("d=3") for line in out.splitlines())
 
+    def test_scrolls_past_the_split_limit_is_refused(self, capsys):
+        # up to dimension 10 the 40 canonical exponents take 67 million
+        # splits, 50.9 million at d = 10; the count passes the limit at
+        # d = 8 and nothing is enumerated
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            "scrolls", "--exponents", "3,61,62", "--max-dim", "10", capsys=capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: scroll structures up to dimension 10 take more than "
+            "1000000 block splits\n"
+        )
+        assert time.perf_counter() - start < 1.0
+
+    def test_scrolls_under_the_split_limit(self, capsys):
+        # 324,762 splits, 704 structures
+        code, out, _ = run_cli(
+            "scrolls", "--exponents", "3,31,32", "--max-dim", "14", capsys=capsys
+        )
+        lines = out.splitlines()
+        assert (code, len(lines)) == (0, 2 + 704)
+        assert lines[-1].startswith("d=14 ")
+
+    def test_split_limit_is_inclusive(self, capsys, monkeypatch):
+        # 3,7,8 up to dimension 3 walks 2 + 6 splits
+        monkeypatch.setattr(cli_module, "SPLIT_LIMIT", 8)
+        code, _, _ = run_cli("scrolls", "--exponents", "3,7,8", "--max-dim", "3", capsys=capsys)
+        assert code == 0
+        monkeypatch.setattr(cli_module, "SPLIT_LIMIT", 7)
+        code, out, err = run_cli(
+            "scrolls", "--exponents", "3,7,8", "--max-dim", "3", capsys=capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: scroll structures up to dimension 3 take more than 7 block splits\n"
+
 
 class TestCatalog:
     def test_csv_row_count(self, capsys):

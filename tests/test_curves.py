@@ -1,15 +1,18 @@
 """Tests for monomial curves: branch data, canonical sections, sheaves,
-gonality pencils, and the analysis record.  The pruned one-sided gonality
-window is held to a search of the whole window on both sides, and the
-symmetry of pencil degrees it rests on is checked directly; a
-representative's enumerated branch is held to the one its exponents
-generate, and the closed-form mu of `analyze` to the tuple Minkowski
-chain."""
+gonality pencils, and the analysis record.  The mask route of the sheaf
+invariants is held to chained tuple unions, on fixed curves and on random
+curves and generator lists.  The pruned one-sided gonality window is held
+to a search of the whole window on both sides, and the symmetry of pencil
+degrees it rests on is checked directly; a representative's enumerated
+branch is held to the one its exponents generate, and the closed-form mu
+of `analyze` to the tuple Minkowski chain."""
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_semigroups import TupleValueSet, tuple_mu_local
 
 import scrollcurves.curves as curves_module
@@ -63,6 +66,23 @@ def tuple_sheaf_degree_h0(curve, generator_exponents) -> SheafData:
     )
     h0 = sum(1 for c in stalk0.elements_up_to(-stalki.min_element) if (-c) in stalki)
     return SheafData(degree, h0)
+
+
+gcd_one_exponents = (
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5, unique=True)
+    .map(lambda exps: tuple(sorted(exps)))
+    .filter(lambda exps: math.gcd(*exps) == 1)
+)
+shift = st.integers(min_value=-40, max_value=40)
+# any list (duplicates included), a single generator, a repeated one, and
+# all-negative and all-positive lists
+generator_lists = st.one_of(
+    st.lists(shift, min_size=1, max_size=8),
+    shift.map(lambda b: [b]),
+    shift.map(lambda b: [b, b, b]),
+    st.lists(st.integers(min_value=-40, max_value=-1), min_size=1, max_size=5),
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5),
+)
 
 
 def full_window_gonality_pencil(curve) -> tuple[int, int]:
@@ -260,6 +280,18 @@ class TestSheafOracle:
                 if n:
                     expected = tuple_sheaf_degree_h0(c, (0, n))
                     assert sheaf_degree_h0(c, (0, n)) == expected, (c.exponents, n)
+
+    @settings(max_examples=500, deadline=None)
+    @given(gcd_one_exponents, generator_lists, st.integers(min_value=0, max_value=3))
+    def test_random_generator_lists(self, exponents, gens, past):
+        """Random curves and generator lists; with past > 0 two more
+        shifts land past the conductor at t = 0 and past the one at
+        infinity, so both stalks are shifted beyond their semigroups'
+        finite parts."""
+        c = make_curve(exponents)
+        if past:
+            gens = gens + [c.s_zero.beta + past, -c.s_infinity.beta - past]
+        assert sheaf_degree_h0(c, gens) == tuple_sheaf_degree_h0(c, gens)
 
 
 class TestPencils:

@@ -1,6 +1,7 @@
 """Tests for run decompositions, scroll structures, and the minor check."""
 
 import math
+import time
 from functools import cache
 from itertools import product
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scrollcurves import scrolls as scrolls_module
 from scrollcurves.chow import Ambient
-from scrollcurves.curves import canonical_exponents, representative_curve
+from scrollcurves.curves import canonical_exponents, make_curve, representative_curve
 from scrollcurves.scrolls import (
     ScrollStructure,
     _compositions,
@@ -19,6 +21,7 @@ from scrollcurves.scrolls import (
     minor_check,
     run_decomposition,
     scroll_structures,
+    split_count,
 )
 from scrollcurves.semigroups import bitmask, enumerate_genus
 
@@ -45,6 +48,34 @@ def reference_min_scroll_dimension(values) -> int:
     )
 
 
+def all_compositions(total: int, parts: int):
+    """Compositions of total into the given number of positive parts, in
+    descending lexicographic order, with no cap on a part: the search
+    `scroll_structures` ran before its parts were capped by run length."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total - parts + 1, 0, -1):
+        for rest in all_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_split_count(values, d: int) -> int:
+    """The splits of `split_count` as the literal sum, over the steps
+    `scroll_structures` visits, of the product of C(|run| - 1, k - 1)
+    over every composition of d into one piece count per run."""
+    vals = sorted(set(values))
+    kappa = math.gcd(*(v - vals[0] for v in vals))
+    total = 0
+    for step in range(kappa, vals[-1] - vals[0] + 1, kappa):
+        if d == len(vals) and step != kappa:
+            continue
+        runs = run_decomposition(vals, step)
+        for pieces in all_compositions(d, len(runs)) if len(runs) <= d else ():
+            total += math.prod(math.comb(len(r) - 1, k - 1) for r, k in zip(runs, pieces))
+    return total
+
+
 def reference_scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
     """scroll_structures without the run-count skip: every step's runs are
     built and every step goes through the composition search."""
@@ -60,11 +91,11 @@ def reference_scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
         if len(runs) > d:
             continue
         seen = set()
-        for pieces_per_run in _compositions(d, len(runs)):
+        for pieces_per_run in all_compositions(d, len(runs)):
             if any(k > len(r) for k, r in zip(pieces_per_run, runs)):
                 continue
             split_menu = [
-                list(_compositions(len(r), k)) for r, k in zip(runs, pieces_per_run)
+                list(all_compositions(len(r), k)) for r, k in zip(runs, pieces_per_run)
             ]
             for choice in product(*split_menu):
                 sizes = tuple(sorted(x for comp in choice for x in comp))
@@ -188,6 +219,77 @@ class TestRunCountOracle:
                 assert scroll_structures(values, d) == reference_scroll_structures(
                     values, d
                 ), (values, d)
+
+
+class TestSplitCount:
+    """`split_count` against the splits `scroll_structures` walks, counted
+    by wrapping its `product`, and against the literal sum it closes."""
+
+    def count_walked(self, monkeypatch, values, d) -> int:
+        walked = []
+
+        def counting(*menus):
+            for choice in product(*menus):
+                walked.append(choice)
+                yield choice
+
+        monkeypatch.setattr(scrolls_module, "product", counting)
+        scroll_structures(values, d)
+        return len(walked)
+
+    def test_canonical_sets(self, monkeypatch):
+        """The genus 1-6 sets with two or more values (a single value makes
+        its one structure without a split)."""
+        sets = [values for values in canonical_sets()[:120] if len(values) > 1]
+        assert len(sets) == 119
+        for values in sets:
+            for d in range(1, len(values) + 1):
+                expected = self.count_walked(monkeypatch, values, d)
+                assert split_count(values, (d,)) == expected, (values, d)
+                assert reference_split_count(values, d) == expected, (values, d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(-20, 20), min_size=2, max_size=9))
+    def test_random_sets(self, values):
+        for d in range(1, len(values) + 1):
+            assert split_count(values, (d,)) == reference_split_count(values, d), (values, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(st.integers(-20, 20), min_size=2, max_size=9), st.data())
+    def test_sum_over_dimensions(self, values, data):
+        dims = data.draw(st.lists(st.integers(1, len(values)), max_size=4))
+        expected = sum(reference_split_count(values, d) for d in dims)
+        assert split_count(values, dims) == expected, (values, dims)
+
+    def test_examples(self):
+        # step 1 cuts the run 0..3 at one of 3 points; step 2 has the two
+        # runs (0, 2) and (1, 3), uncut; with d = n only step 1 counts
+        assert split_count((0, 1, 2, 3), (2,)) == 3 + 1
+        assert split_count((0, 1, 2, 3), (4,)) == 1
+        assert split_count((5,), (1,)) == 1
+        with pytest.raises(ValueError):
+            split_count((0, 1), (2, 3))
+
+    def test_capped_compositions_are_the_valid_ones(self):
+        """Every total from 1 to 14 over one to three runs of 1 to 4
+        values, fewer or more than fit included."""
+        for parts in (1, 2, 3):
+            for total in range(1, 15):
+                for caps in product(range(1, 5), repeat=parts):
+                    every = all_compositions(total, parts)
+                    valid = [c for c in every if all(k <= m for k, m in zip(c, caps))]
+                    assert list(_compositions(total, caps)) == valid, (total, caps)
+
+    def test_many_runs_and_high_dimension_are_fast(self):
+        """Near d = n a step has many short runs and the compositions of d
+        into them are mostly invalid; the capped search walks only the
+        valid ones: 40 values, d = 39, 780 splits into 58 structures."""
+        values = canonical_exponents(make_curve((3, 61, 62)))
+        assert len(values) == 40
+        start = time.perf_counter()
+        assert split_count(values, (39,)) == 780
+        assert len(scroll_structures(values, 39)) == 58
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMinors:

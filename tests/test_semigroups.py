@@ -38,7 +38,6 @@ from scrollcurves.semigroups import (
     mu_local,
     recover_from_kappa_star,
     semigroup_from_gaps,
-    set_bits,
 )
 
 
@@ -237,6 +236,12 @@ def same_set(fast: ValueSet, ref: TupleValueSet) -> bool:
     return (fast.finite_part, fast.tail_start) == (ref.finite_part, ref.tail_start)
 
 
+def semigroup_values(s: NumericalSemigroup) -> ValueSet:
+    """A semigroup as a tailed set, from the complement of its gap mask
+    below the conductor: the finite part the sheaf route shifts."""
+    return ValueSet._from_mask(0, ~s.gap_mask & ((1 << s.beta) - 1), s.beta)
+
+
 gcd_one_generators = st.lists(
     st.integers(min_value=1, max_value=40), min_size=1, max_size=6
 ).filter(lambda gens: math.gcd(*gens) == 1)
@@ -257,19 +262,24 @@ class TestValueSet:
         v = ValueSet((-2, 1), 4)
         assert -2 in v and 1 in v and 4 in v and 100 in v
         assert -3 not in v and 0 not in v and 3 not in v
-        assert v.min_element == -2
+        assert v.low == -2
 
     def test_shift(self):
         # one shift translates the whole set, tail included
-        assert ValueSet((0, 2), 5).shifted_union([-3]) == ValueSet((-3, -1), 2)
+        shifted = TupleValueSet((0, 2), 5).shift(-3)
+        assert shifted == TupleValueSet((-3, -1), 2)
+        assert same_set(ValueSet((-3, -1), 2), shifted)
 
     def test_union(self):
-        # {0, 2, 5, ...} joined with {2, 4, 7, ...}; a repeated shift counts once
-        assert ValueSet((0, 2), 5).shifted_union([2, 0, 2]) == ValueSet((0, 2, 4), 5)
+        # {0, 2, 5, ...} joined with {2, 4, 7, ...}; the tail absorbs 4 + 1
+        v = TupleValueSet((0, 2), 5)
+        joined = v.union(v.shift(2)).union(v)
+        assert joined == TupleValueSet((0, 2, 4), 5)
+        assert same_set(ValueSet((0, 2, 4), 5), joined)
 
     def test_count_difference(self):
-        t = ValueSet((0,), 3)
-        k = ValueSet((0, 3, 4, 5), 7)
+        t = TupleValueSet((0,), 3)
+        k = TupleValueSet((0, 3, 4, 5), 7)
         assert t.count_difference(k) == 1
         assert k.count_difference(t) == 0
         assert t.count_difference(t) == 0
@@ -294,9 +304,8 @@ class TestValueSetOracle:
     def test_canonical_form_and_queries(self, args, n):
         fast, ref = ValueSet(*args), TupleValueSet(*args)
         assert same_set(fast, ref)
-        assert fast.min_element == ref.min_element
         lo = ref.min_element
-        assert set_bits(fast.window(lo, n + 1), lo) == tuple(ref.elements_up_to(n))
+        assert [x for x in range(lo, n + 1) if x in fast] == ref.elements_up_to(n)
         for x in range(-70, 71):
             assert (x in fast) == (x in ref), x
         # the stored triple: low is the min element, bit 0 is set unless the
@@ -318,24 +327,40 @@ class TestValueSetOracle:
     @settings(max_examples=300, deadline=None)
     @given(value_set_args, st.integers(min_value=-40, max_value=40))
     def test_shift(self, args, k):
-        assert same_set(ValueSet(*args).shifted_union([k]), TupleValueSet(*args).shift(k))
+        """The mask is position-free: moving low and the tail by k shifts
+        the set, as the tuple shift does element by element."""
+        fast = ValueSet(*args)
+        shifted = ValueSet._from_mask(fast.low + k, fast.mask, fast.tail_start + k)
+        assert same_set(shifted, TupleValueSet(*args).shift(k))
 
     @settings(max_examples=300, deadline=None)
     @given(value_set_args, st.lists(st.integers(-30, 30), min_size=1, max_size=6))
     def test_shifted_union_is_chained_unions(self, args, shifts):
+        """One or of the mask shifted by each k, from the smallest shift
+        up, against chained tuple unions."""
         ref = TupleValueSet(*args)
         chained = ref.shift(shifts[0])
         for k in shifts[1:]:
             chained = chained.union(ref.shift(k))
-        assert same_set(ValueSet(*args).shifted_union(shifts), chained)
+        fast, first = ValueSet(*args), min(shifts)
+        mask = 0
+        for k in shifts:
+            mask |= fast.mask << (k - first)
+        union = ValueSet._from_mask(fast.low + first, mask, fast.tail_start + first)
+        assert same_set(union, chained)
 
     @settings(max_examples=300, deadline=None)
     @given(value_set_args, value_set_args)
     def test_count_difference(self, a, b):
+        """The tuple count against a popcount of the finite parts over
+        [min low, max tail), past which both sets hold everything."""
         fast_a, fast_b = ValueSet(*a), ValueSet(*b)
         ref_a, ref_b = TupleValueSet(*a), TupleValueSet(*b)
-        assert fast_a.count_difference(fast_b) == ref_a.count_difference(ref_b)
-        assert fast_b.count_difference(fast_a) == ref_b.count_difference(ref_a)
+        lo = min(fast_a.low, fast_b.low)
+        hi = max(fast_a.tail_start, fast_b.tail_start)
+        masks = [sum(1 << (x - lo) for x in range(lo, hi) if x in v) for v in (fast_a, fast_b)]
+        assert (masks[0] & ~masks[1]).bit_count() == ref_a.count_difference(ref_b)
+        assert (masks[1] & ~masks[0]).bit_count() == ref_b.count_difference(ref_a)
 
     @settings(max_examples=300, deadline=None)
     @given(nonnegative_args)
@@ -352,7 +377,7 @@ class TestValueSetOracle:
         generates, as sieved by `make_semigroup`."""
         finite, tail = args
         v = TupleValueSet([0] + finite, tail)
-        fast = generated_semigroup(v).value_set()
+        fast = semigroup_values(generated_semigroup(v))
         assert same_set(fast, tuple_stable_minkowski_power(v))
 
 
@@ -408,7 +433,8 @@ class TestConstruction:
 
     def test_value_set(self):
         s = make_semigroup((4, 5, 7))
-        assert s.value_set() == ValueSet((0, 4, 5), 7)
+        assert semigroup_values(s) == ValueSet((0, 4, 5), 7)
+        assert semigroup_values(s).finite_part == s.elements_below_conductor[:-1]
 
     def test_from_gap_mask(self):
         s = NumericalSemigroup.from_gap_mask(0b1001110)
@@ -554,7 +580,7 @@ class TestMu:
         s = make_semigroup((4, 5, 7))
         data = mu_local(s)
         assert data.closure == make_semigroup((3, 4, 5))
-        assert data.closure.value_set() == ValueSet((0,), 3)
+        assert semigroup_values(data.closure) == ValueSet((0,), 3)
         assert data.mu == 1
         # <K> is sieved from every nonzero element of K below beta, but
         # reports only its minimal generators
@@ -630,8 +656,8 @@ class TestMu:
                 data = mu_local(s)
                 assert isinstance(data, MuData)
                 assert data.mu == mu, s
-                assert same_set(data.closure.value_set(), stable), s
-                assert same_set(data.closure.value_set(), t), s
+                assert same_set(semigroup_values(data.closure), stable), s
+                assert same_set(semigroup_values(data.closure), t), s
                 count += 1
         assert count == 478
 
