@@ -30,7 +30,7 @@ from .curves import (
 )
 from .errors import BoundExceeded, PathsDisagree
 from .fixtures import FixtureRow, fixture
-from .scrolls import ScrollStructure, min_scroll_dimension, scroll_structures
+from .scrolls import ScrollStructure, scroll_structures
 from .semigroups import DEFAULT_GENUS_BOUND, enumerate_genus
 
 
@@ -116,22 +116,22 @@ def check_scroll_correspondence(exponents, genus: int, gon: int, msd: int) -> No
 def _catalog_row(
     curve: MonomialCurve,
     record: CurveAnalysis,
-    msd: int,
+    structures: tuple[ScrollStructure, ...],
     provenance: str,
     scroll_dim: int | None,
 ) -> CatalogRow:
-    """The row of an analyzed curve whose canonical model has minimum
-    scroll dimension msd, with the structural identities checked."""
+    """The row of an analyzed curve from the scroll structures of its
+    canonical model at the minimum scroll dimension, with the structural
+    identities checked; a different scroll_dim lists the structures at
+    that dimension instead."""
+    msd = len(structures[0].blocks)
     raw = canonical_section_exponents(curve)
     if not verify_dualizing_candidate(curve, raw):
         raise PathsDisagree(f"canonical sections of {record.exponents} fail the degree test")
     check_scroll_correspondence(record.exponents, record.genus, record.gonality, msd)
-    depth = scroll_dim if scroll_dim is not None else msd
-    return CatalogRow(
-        **vars(record),
-        structures=scroll_structures(record.canonical, depth),
-        provenance=provenance,
-    )
+    if scroll_dim is not None and scroll_dim != msd:
+        structures = scroll_structures(record.canonical, scroll_dim)
+    return CatalogRow(**vars(record), structures=structures, provenance=provenance)
 
 
 def row_for_curve(
@@ -142,9 +142,9 @@ def row_for_curve(
     The canonical model is computed first, so a curve of genus 0 raises
     GenusZero, as the canonical, gonality and scrolls commands do.
     """
-    msd = min_scroll_dimension(canonical_exponents(curve))
+    structures = scroll_structures(canonical_exponents(curve))
     record = analyze(curve)
-    return _catalog_row(curve, record, msd, provenance, scroll_dim)
+    return _catalog_row(curve, record, structures, provenance, scroll_dim)
 
 
 def build_catalog(
@@ -161,8 +161,9 @@ def build_catalog(
     admit a bounded exhaustive enumeration.  `scroll_dim` keeps only rows
     whose canonical model needs a scroll of exactly that dimension, and
     row structures are computed at that dimension.  The filters run
-    cheapest first, the scroll dimension before `analyze`, and every
-    invariant of a kept row is computed once.
+    cheapest first, the scroll structures at the minimum dimension (whose
+    block count is that dimension) before `analyze`, and every invariant
+    of a kept row is computed once.
     """
     genera = sorted({int(g) for g in genus_range})
     if genera and genera[-1] > DEFAULT_GENUS_BOUND:
@@ -191,13 +192,13 @@ def build_catalog(
     provenance = "computed" if singular_points == 1 else "fixture"
     rows = []
     for curve in curves.values():
-        msd = min_scroll_dimension(canonical_exponents(curve))
-        if scroll_dim is not None and msd != scroll_dim:
+        structures = scroll_structures(canonical_exponents(curve))
+        if scroll_dim is not None and len(structures[0].blocks) != scroll_dim:
             continue
         record = analyze(curve)
         if non_gorenstein and record.eta == 0:
             continue
-        rows.append(_catalog_row(curve, record, msd, provenance, scroll_dim))
+        rows.append(_catalog_row(curve, record, structures, provenance, scroll_dim))
     rows.sort(key=lambda r: (r.genus, r.exponents))
     return rows
 

@@ -29,6 +29,7 @@ from .semigroups import (
     make_semigroup,
     mu_local,
     reverse_bits,
+    set_bits,
 )
 
 NATURALS = NumericalSemigroup.from_gap_mask(0)
@@ -159,15 +160,16 @@ def canonical_section_exponents(curve: MonomialCurve) -> tuple[int, ...]:
 
     The form t^c dt has a pole-free expansion at t = 0 unless -c-1 is a
     local value there, and at infinity (parameter u = 1/t, where it reads
-    -u^(-c-2) du up to sign) unless c+1 is a local value.  The count always
-    equals the genus.  They are computed once and kept on the curve object.
+    -u^(-c-2) du up to sign) unless c+1 is a local value.  So c < 0 is
+    -1 - g for a gap g at t = 0 (c = -1 fails at infinity, where 0 is a
+    value) and c >= 0 is g - 1 for a gap g at infinity: both read off the
+    gap masks, already sorted.  The count always equals the genus.  They
+    are computed once and kept on the curve object.
     """
     if curve._canonical is None:
         s0, si = curve.s_zero, curve.s_infinity
-        raw = tuple(
-            c
-            for c in range(-s0.beta, si.beta - 1)
-            if (-c - 1) not in s0 and (c + 1) not in si
+        raw = set_bits(reverse_bits(s0.gap_mask, s0.beta), -s0.beta) + set_bits(
+            si.gap_mask >> 1
         )
         if len(raw) != curve.genus:
             raise PathsDisagree(

@@ -121,15 +121,9 @@ def _block_values(values, *dims: int) -> tuple[int, ...]:
     return vals
 
 
-def _steps(vals: tuple[int, ...]) -> tuple[range, int]:
-    """The steps of a sorted set of two or more values, the multiples of
-    its gcd of differences up to its span, and the set's bitmask."""
-    kappa = math.gcd(*(v - vals[0] for v in vals))
-    return range(kappa, vals[-1] - vals[0] + 1, kappa), bitmask(v - vals[0] for v in vals)
-
-
-def scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
-    """All scroll structures with exactly d blocks on the given set.
+def scroll_structures(values, d: int | None = None) -> tuple[ScrollStructure, ...]:
+    """All scroll structures with exactly d blocks on the given set; d
+    defaults to the minimum scroll dimension, read from the same walk.
 
     Steps run over multiples of the set's gcd of differences up to the
     span (a block of two or more elements forces the step to be such a
@@ -139,21 +133,29 @@ def scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
     cuts each run in order, larger pieces first.
 
     A step yields a structure exactly when it has at most d runs, except
-    that with d equal to the set size only the base step reports.  Run
-    counts come from a popcount of the set's bitmask (see `_run_count`),
-    so `run_decomposition` runs only for them; `split_count` counts splits.
+    that with d equal to the set size only the base step reports.  The
+    steps and their run counts come from one pruned walk (`_run_counts`),
+    so `run_decomposition` runs only for the steps that report.  A step
+    with exactly d runs has one split, the runs themselves; only a step
+    with fewer runs searches the ways to cut them (`split_count` counts
+    the splits).
     """
-    vals = _block_values(values, d)
+    vals = _block_values(values) if d is None else _block_values(values, d)
     n = len(vals)
     if n == 1:
         return (ScrollStructure(1, ((vals[0],),), 1),)
-    steps, mask = _steps(vals)
-    kappa = steps.start
+    walk = list(_run_counts(vals, d))
+    if d is None:
+        d = min(count for _, count in walk)
+    kappa = walk[0][0]
     out: list[ScrollStructure] = []
-    for step in steps:
-        if _run_count(mask, n, step) > d or (d == n and step != kappa):
+    for step, count in walk:
+        if count > d or (d == n and step != kappa):
             continue
         runs = run_decomposition(vals, step)
+        if count == d:
+            out.append(ScrollStructure(step, runs, kappa))
+            continue
         seen: set[tuple[int, ...]] = set()
         for pieces_per_run in _compositions(d, tuple(len(r) for r in runs)):
             split_menu = [
@@ -177,7 +179,9 @@ def split_count(values, dims) -> int:
     dropping repeated block sizes, summed over the block counts d in dims:
     over the steps it visits (only the base step when d = n), the sum over
     pieces per run of the product of C(|run| - 1, k - 1), which is
-    C(n - r, d - r) for r runs.  The run counts are taken once.
+    C(n - r, d - r) for r runs, and 1 for a step with exactly d runs,
+    which is split once, into its runs.  The run counts come from one
+    walk of the steps, pruned at the largest d.
 
     >>> split_count((0, 1, 2, 3), (2,))
     4
@@ -185,7 +189,7 @@ def split_count(values, dims) -> int:
     dims = tuple(dims)
     vals = _block_values(values, *dims)
     n = len(vals)
-    runs = _run_counts(vals) if n > 1 else ()
+    runs = [r for _, r in _run_counts(vals, max(dims, default=0))] if n > 1 else ()
     return sum(
         1 if d == n else sum(math.comb(n - r, d - r) for r in runs if r <= d)
         for d in dims
@@ -196,18 +200,45 @@ def min_scroll_dimension(values) -> int:
     """Fewest blocks any step allows: the minimum scroll dimension.
 
     This is the fewest maximal runs over the steps that are multiples of
-    the gcd of differences (see `_run_count`); no run is built.
+    the gcd of differences, from the pruned walk of `_run_counts`; no run
+    is built.
     """
     vals = _block_values(values)
     if len(vals) == 1:
         return 1
-    return min(_run_counts(vals))
+    return min(count for _, count in _run_counts(vals))
 
 
-def _run_counts(vals: tuple[int, ...]) -> list[int]:
-    """The run count at each step of a sorted set of two or more values."""
-    steps, mask = _steps(vals)
-    return [_run_count(mask, len(vals), step) for step in steps]
+def _run_counts(vals: tuple[int, ...], limit: int | None = None):
+    """(step, run count) for the steps of a sorted set of two or more
+    values, the multiples of its gcd of differences up to its span, in
+    increasing order, the base step (the gcd) first; the walk stops
+    at the first step whose count is bound to exceed limit or, with no
+    limit, the fewest runs so far.
+
+    At step s every element of the top s of the set ends a run (adding s
+    passes the largest value) and every element of the bottom s starts
+    one, so the count is at least the larger of those two numbers; the
+    bound never decreases in s, so no later step can come back under the
+    limit.  The stop is strict: a step tied with the limit or the minimum
+    is still yielded.  Each count is one popcount (see `_run_count`).
+    """
+    n = len(vals)
+    lo, hi = vals[0], vals[-1]
+    kappa = math.gcd(*(v - lo for v in vals))
+    mask = bitmask(v - lo for v in vals)
+    best = n
+    bottom = top = 0
+    for step in range(kappa, hi - lo + 1, kappa):
+        while vals[bottom] < lo + step:
+            bottom += 1
+        while vals[n - 1 - top] > hi - step:
+            top += 1
+        if max(bottom, top) > (best if limit is None else limit):
+            return
+        count = _run_count(mask, n, step)
+        best = min(best, count)
+        yield step, count
 
 
 def minor_check(values, blocks, step: int) -> bool:

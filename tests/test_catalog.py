@@ -286,12 +286,14 @@ class TestComputeOnce:
         }
         analyzed, measured = [], []
         count_calls(monkeypatch, (catalog_module,), "analyze", analyzed)
-        count_calls(monkeypatch, (catalog_module,), "min_scroll_dimension", measured)
+        count_calls(monkeypatch, (catalog_module,), "scroll_structures", measured)
         rows = build_catalog(range(4, 9), non_gorenstein=True, scroll_dim=3)
         assert len(rows) == 55
         exponents = [c.exponents for c in analyzed]
         assert len(exponents) == len(set(exponents)) == 148 - len(rejected)
         assert not rejected & set(exponents)
+        # one walk of the steps per curve: the structures at the minimum
+        # dimension give the filter its dimension and a kept row its structures
         assert len(measured) == 148
 
     def test_surface_audits_run_gonality_once_per_row(self, monkeypatch):

@@ -1,6 +1,8 @@
 """Tests for monomial curves: branch data, canonical sections, sheaves,
-gonality pencils, and the analysis record.  The mask route of the sheaf
-invariants is held to chained tuple unions, on fixed curves and on random
+gonality pencils, and the analysis record.  The raw canonical sections,
+read from the two gap masks, are held to a membership test of every
+integer of their window.  The mask route of the sheaf invariants is held
+to chained tuple unions, on fixed curves and on random
 curves and generator lists.  The pruned one-sided gonality window is held
 to a search of the whole window on both sides, and the symmetry of pencil
 degrees it rests on is checked directly; a representative's enumerated
@@ -96,6 +98,16 @@ def full_window_gonality_pencil(curve) -> tuple[int, int]:
             if d < best[0]:
                 best = (d, n)
     return best
+
+
+def membership_canonical_sections(curve) -> tuple[int, ...]:
+    """The raw canonical sections by testing every c in [-beta_0,
+    beta_inf - 1) against both branch semigroups: the route the read of
+    the two gap masks replaced."""
+    s0, si = curve.s_zero, curve.s_infinity
+    return tuple(
+        c for c in range(-s0.beta, si.beta - 1) if (-c - 1) not in s0 and (c + 1) not in si
+    )
 
 
 def random_exponent_sets(count: int, seed: int) -> list[tuple[int, ...]]:
@@ -231,6 +243,16 @@ class TestCanonical:
             for s in enumerate_genus(genus):
                 c = representative_curve(s)
                 assert canonical_exponents(c) == kappa_sets(s).k_star
+
+    def test_mask_read_matches_membership_route(self):
+        for c in oracle_curves():
+            assert canonical_section_exponents(c) == membership_canonical_sections(c), c
+
+    @settings(max_examples=300, deadline=None)
+    @given(gcd_one_exponents)
+    def test_mask_read_matches_membership_route_on_random_curves(self, exponents):
+        c = make_curve(exponents)
+        assert canonical_section_exponents(c) == membership_canonical_sections(c)
 
     def test_count_is_genus_for_two_point_curves(self):
         for exps in [(2, 3, 4, 5, 9), (3, 4, 5, 8), (2, 5, 7, 9, 12), (3, 4, 5, 7, 9)]:

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from scrollcurves import scrolls as scrolls_module
 from scrollcurves.chow import Ambient
 from scrollcurves.curves import canonical_exponents, make_curve, representative_curve
+from scrollcurves.fixtures import fixture, fixture_names
 from scrollcurves.scrolls import (
     ScrollStructure,
     _compositions,
     _cut,
     _run_count,
+    _run_counts,
     min_scroll_dimension,
     minor_check,
     run_decomposition,
@@ -107,6 +109,28 @@ def reference_scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
                     blocks.extend(_cut(run, comp))
                 out.append(ScrollStructure(step, tuple(blocks), kappa))
     return tuple(out)
+
+
+def full_walk(vals: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(step, number of runs built) at every step of a sorted set of two or
+    more values: the walk `_run_counts` prunes."""
+    kappa = math.gcd(*(v - vals[0] for v in vals))
+    return [
+        (step, len(run_decomposition(vals, step)))
+        for step in range(kappa, vals[-1] - vals[0] + 1, kappa)
+    ]
+
+
+def assert_pruned_walk(values, limit) -> None:
+    """The pruned walk is a prefix of the full one, and every step it
+    leaves out has more runs than the limit (or, with none, than the
+    minimum), so no step tied with either is lost."""
+    vals = tuple(sorted(set(values)))
+    full = full_walk(vals)
+    walk = list(_run_counts(vals, limit))
+    assert walk == full[: len(walk)], (vals, limit)
+    target = min(r for _, r in full) if limit is None else limit
+    assert all(r > target for _, r in full[len(walk) :]), (vals, limit)
 
 
 def assert_run_counts(values) -> None:
@@ -206,12 +230,34 @@ class TestRunCountOracle:
             assert min_scroll_dimension(values) == reference_min_scroll_dimension(values)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sets(st.integers(-40, 40), min_size=1, max_size=10))
-    def test_random_sets(self, values):
+    @given(
+        st.one_of(
+            st.sets(st.integers(-40, 40), min_size=1, max_size=12),
+            st.sets(st.integers(-40, -1), min_size=1, max_size=8),
+            st.integers(-40, 40).map(lambda v: {v}),
+        ),
+        st.data(),
+    )
+    def test_random_sets(self, values, data):
+        """Mixed-sign, all-negative and single-element sets: the run counts,
+        the pruned walk at no limit and at each drawn dimension, the
+        minimum, the structures at every dimension and at the default,
+        and the splits over the drawn dimensions."""
         assert_run_counts(values)
-        assert min_scroll_dimension(values) == reference_min_scroll_dimension(values)
-        for d in range(1, len(values) + 1):
+        n = len(values)
+        msd = reference_min_scroll_dimension(values)
+        assert min_scroll_dimension(values) == msd
+        assert scroll_structures(values) == reference_scroll_structures(values, msd)
+        for d in range(1, n + 1):
             assert scroll_structures(values, d) == reference_scroll_structures(values, d)
+        dims = data.draw(st.lists(st.integers(1, n), max_size=5))
+        if n == 1:
+            assert split_count(values, dims) == len(dims)
+            return
+        for limit in (None, *dims):
+            assert_pruned_walk(values, limit)
+        expected = sum(reference_split_count(values, d) for d in dims)
+        assert split_count(values, dims) == expected, (values, dims)
 
     def test_structures_match_unskipped_search(self):
         for values in canonical_sets():
@@ -221,9 +267,62 @@ class TestRunCountOracle:
                 ), (values, d)
 
 
+class TestPrunedWalk:
+    """The step walk `_run_counts` stops early: held to the full walk on
+    the canonical sets of genus 1-10 and of the fixture curves (random
+    sets are in `TestRunCountOracle`), with the structures at the default
+    dimension and a time budget on a wide set."""
+
+    @staticmethod
+    def canonical_and_fixture_sets():
+        """The 477 genus 1-10 canonical sets and the canonical sets of the
+        74 bundled fixture curves."""
+        fixtures = [
+            canonical_exponents(make_curve(row.exponents))
+            for name in fixture_names()
+            for row in fixture(name)
+        ]
+        assert len(fixtures) == 74
+        return canonical_sets() + tuple(fixtures)
+
+    def test_walks_of_canonical_and_fixture_sets(self):
+        for values in self.canonical_and_fixture_sets():
+            if len(values) > 1:
+                for limit in (None, 1, 2, 3, 4):
+                    assert_pruned_walk(values, limit)
+
+    def test_default_dimension_is_the_minimum(self):
+        for values in self.canonical_and_fixture_sets():
+            structures = scroll_structures(values)
+            assert structures == scroll_structures(values, min_scroll_dimension(values))
+            assert {len(s.blocks) for s in structures} == {min_scroll_dimension(values)}
+
+    def test_ties_at_the_minimum_past_the_first_are_kept(self):
+        """Steps 1 and 3 both give 2 runs on this set, and the bound has
+        reached 2 by step 3: a walk that stopped on a tie would lose the
+        second structure."""
+        values = (0, 1, 3, 4)
+        assert full_walk(values) == [(1, 2), (2, 3), (3, 2), (4, 3)]
+        assert [s.step for s in scroll_structures(values)] == [1, 3]
+
+    def test_wide_canonical_set_is_fast(self):
+        """19,701 values spanning 39,400: the walk stops after a few steps
+        instead of visiting all of them, twice."""
+        values = canonical_exponents(make_curve((3, 200)))
+        assert len(values) == 19_701
+        start = time.perf_counter()
+        msd = min_scroll_dimension(values)
+        structures = scroll_structures(values)
+        assert time.perf_counter() - start < 0.1
+        assert msd == len(structures[0].blocks)
+
+
 class TestSplitCount:
-    """`split_count` against the splits `scroll_structures` walks, counted
-    by wrapping its `product`, and against the literal sum it closes."""
+    """`split_count` against the splits `scroll_structures` walks, and
+    against the literal sum it closes.  A step with fewer runs than blocks
+    is cut by the choices its `product` yields; a step with exactly as many
+    is taken whole, one split each, counted by wrapping
+    `run_decomposition`."""
 
     def count_walked(self, monkeypatch, values, d) -> int:
         walked = []
@@ -233,7 +332,14 @@ class TestSplitCount:
                 walked.append(choice)
                 yield choice
 
+        def direct(vals, step):
+            runs = run_decomposition(vals, step)
+            if len(runs) == d:
+                walked.append(runs)
+            return runs
+
         monkeypatch.setattr(scrolls_module, "product", counting)
+        monkeypatch.setattr(scrolls_module, "run_decomposition", direct)
         scroll_structures(values, d)
         return len(walked)
 
