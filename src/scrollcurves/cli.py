@@ -107,8 +107,7 @@ def _cmd_gonality(args) -> int:
 def _cmd_scrolls(args) -> int:
     curve = make_curve(args.exponents, SCHUR_BOUND_LIMIT)
     canon = canonical_exponents(curve)
-    lowest = scroll_structures(canon)
-    msd = len(lowest[0].blocks)
+    msd = min_scroll_dimension(canon)
     depths = range(msd, min(args.max_dim, len(canon)) + 1)
     if split_count(canon, depths) > SPLIT_LIMIT:
         raise BoundExceeded(
@@ -118,7 +117,7 @@ def _cmd_scrolls(args) -> int:
     print("canonical exponents:", " ".join(map(str, canon)))
     print("min scroll dimension:", msd)
     for d in depths:
-        for s in lowest if d == msd else scroll_structures(canon, d):
+        for s in scroll_structures(canon, d):
             dims = ",".join(map(str, s.scroll_type.dims))
             blocks = "|".join(",".join(map(str, b)) for b in s.blocks)
             print(f"d={d} step={s.step} ell={s.ell} dims=({dims}) blocks={blocks}")

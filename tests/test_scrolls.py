@@ -38,16 +38,22 @@ def canonical_sets() -> tuple[tuple[int, ...], ...]:
     )
 
 
+def full_walk(vals: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(step, number of runs built) at every step of a sorted set of two or
+    more values: the walk `_run_counts` prunes."""
+    kappa = math.gcd(*(v - vals[0] for v in vals))
+    return [
+        (step, len(run_decomposition(vals, step)))
+        for step in range(kappa, vals[-1] - vals[0] + 1, kappa)
+    ]
+
+
 def reference_min_scroll_dimension(values) -> int:
     """Fewest runs over every step, each decomposition built in full."""
-    vals = sorted(set(values))
+    vals = tuple(sorted(set(values)))
     if len(vals) == 1:
         return 1
-    kappa = math.gcd(*(v - vals[0] for v in vals))
-    return min(
-        len(run_decomposition(vals, step))
-        for step in range(kappa, vals[-1] - vals[0] + 1, kappa)
-    )
+    return min(r for _, r in full_walk(vals))
 
 
 def all_compositions(total: int, parts: int):
@@ -109,16 +115,6 @@ def reference_scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
                     blocks.extend(_cut(run, comp))
                 out.append(ScrollStructure(step, tuple(blocks), kappa))
     return tuple(out)
-
-
-def full_walk(vals: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(step, number of runs built) at every step of a sorted set of two or
-    more values: the walk `_run_counts` prunes."""
-    kappa = math.gcd(*(v - vals[0] for v in vals))
-    return [
-        (step, len(run_decomposition(vals, step)))
-        for step in range(kappa, vals[-1] - vals[0] + 1, kappa)
-    ]
 
 
 def assert_pruned_walk(values, limit) -> None:
