@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 
 from .chow import Ambient
 from .semigroups import bitmask
@@ -53,41 +53,48 @@ class ScrollStructure:
 def run_decomposition(values, step: int) -> tuple[tuple[int, ...], ...]:
     """Maximal arithmetic runs with the given step, ordered by minimum.
 
-    Elements are grouped by residue class mod step first, so interleaved
-    runs are still found:
+    A run starts at each value v with v - step absent and extends while
+    the next term is present, so interleaved runs are still found:
 
     >>> run_decomposition((0, 2, 5, 6, 7, 8), 2)
     ((0, 2), (5, 7), (6, 8))
     """
-    vals = sorted(set(values))
-    classes: dict[int, list[int]] = {}
-    for v in vals:
-        classes.setdefault(v % step, []).append(v)
-    runs: list[list[int]] = []
-    for members in classes.values():
-        current = [members[0]]
-        for v in members[1:]:
-            if v == current[-1] + step:
-                current.append(v)
-            else:
-                runs.append(current)
-                current = [v]
-        runs.append(current)
-    runs.sort(key=lambda r: r[0])
-    return tuple(tuple(r) for r in runs)
+    members = set(values)
+    runs = []
+    for v in sorted(members):
+        if v - step not in members:
+            run = [v]
+            while run[-1] + step in members:
+                run.append(run[-1] + step)
+            runs.append(tuple(run))
+    return tuple(runs)
 
 
 def _compositions(total: int, caps: tuple[int, ...]):
     """Compositions of total into len(caps) positive parts, part i at most
-    caps[i], in descending lexicographic order, trying no dead prefix."""
-    if len(caps) == 1:
-        if 1 <= total <= caps[0]:
-            yield (total,)
+    caps[i], in descending lexicographic order, trying no dead prefix: the
+    open parts are filled with the largest values that leave the rest
+    feasible (room[i] = sum(caps[i:])), then popped until one can drop."""
+    k = len(caps)
+    room = list(accumulate(reversed(caps), initial=0))[::-1]
+    if not k <= total <= room[0]:
         return
-    rest = caps[1:]
-    for first in range(min(caps[0], total - len(rest)), max(total - sum(rest), 1) - 1, -1):
-        for tail in _compositions(total - first, rest):
-            yield (first,) + tail
+    parts: list[int] = []
+    left = total
+    while True:
+        for i in range(len(parts), k):
+            parts.append(min(caps[i], left - (k - 1 - i)))
+            left -= parts[-1]
+        yield tuple(parts)
+        while parts:
+            part = parts.pop()
+            left += part
+            if part > max(1, left - room[len(parts) + 1]):
+                parts.append(part - 1)
+                left -= part - 1
+                break
+        else:
+            return
 
 
 def _cut(run: tuple[int, ...], sizes: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -2,10 +2,9 @@
 
 Everything here is integer arithmetic on tuples and int bitmasks; nothing
 is floating point.  A numerical semigroup is a cofinite subset of the
-nonnegative integers containing 0 and closed under addition.  Alongside the
-semigroups themselves the module keeps "value sets": cofinite integer sets
-stored as a bitmask of a finite part plus an infinite tail, the shape of
-the dual set measuring how far a semigroup is from being symmetric.
+nonnegative integers containing 0 and closed under addition, stored as the
+bitmask of its gaps.  The dual set K*, read off the gap mask reversed,
+measures how far a semigroup is from being symmetric.
 """
 
 from __future__ import annotations
@@ -22,93 +21,6 @@ from .errors import (
 )
 
 DEFAULT_GENUS_BOUND = 16
-
-
-class ValueSet:
-    """A set of integers written as a finite part plus an infinite tail.
-
-    The set is the finite part together with every integer at or above
-    ``tail_start``.  It is stored as a canonical triple ``(low, mask,
-    tail_start)``: bit j of the int ``mask`` is set when ``low + j`` is a
-    finite element, ``low`` is the smallest element (bit 0 is set unless
-    the finite part is empty, and then ``low == tail_start``), no bit
-    reaches the tail, and the integer immediately below the tail is absent
-    (it would otherwise be absorbed into the tail).  Equality of triples is
-    therefore equality of sets.
-
-    >>> ValueSet((3, 5, 6, 7), 8) == ValueSet((3,), 5)
-    True
-    >>> v = ValueSet((-2, 1), 4)
-    >>> (v.low, bin(v.mask), v.tail_start)
-    (-2, '0b1001', 4)
-    """
-
-    __slots__ = ("low", "mask", "tail_start")
-
-    def __init__(self, finite_part, tail_start: int) -> None:
-        finite = [x for x in finite_part if x < tail_start]
-        low = min(finite, default=tail_start)
-        self._store(*_canonical(low, bitmask(x - low for x in finite), tail_start))
-
-    @classmethod
-    def _from_mask(cls, low: int, mask: int, tail_start: int) -> ValueSet:
-        """The set with bit j of mask for low + j plus the tail, in
-        canonical form; bits at or past the tail are dropped."""
-        out = object.__new__(cls)
-        out._store(*_canonical(low, mask, tail_start))
-        return out
-
-    def _store(self, low: int, mask: int, tail_start: int) -> None:
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "tail_start", tail_start)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ValueSet is immutable; cannot set {name}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ValueSet):
-            return NotImplemented
-        return (self.low, self.mask, self.tail_start) == (
-            other.low,
-            other.mask,
-            other.tail_start,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.low, self.mask, self.tail_start))
-
-    def __repr__(self) -> str:
-        return f"ValueSet(finite_part={self.finite_part}, tail_start={self.tail_start})"
-
-    def __contains__(self, x: int) -> bool:
-        if x >= self.tail_start:
-            return True
-        return x >= self.low and (self.mask >> (x - self.low)) & 1 == 1
-
-    @property
-    def finite_part(self) -> tuple[int, ...]:
-        """The finite elements, sorted."""
-        return set_bits(self.mask, self.low)
-
-
-def _canonical(low: int, mask: int, tail: int) -> tuple[int, int, int]:
-    """The canonical triple of the set {low + j : bit j of mask} plus
-    [tail, infinity): bits at or past the tail dropped, the run of elements
-    just below the tail absorbed into it, and low moved up to the smallest
-    finite element (or to the tail when none is left)."""
-    width = tail - low
-    if width <= 0:
-        return tail, 0, tail
-    full = (1 << width) - 1
-    mask &= full
-    top = (full & ~mask).bit_length()
-    tail = low + top
-    mask &= (1 << top) - 1
-    if not mask:
-        return tail, 0, tail
-    skip = (mask & -mask).bit_length() - 1
-    return low + skip, mask >> skip, tail
 
 
 def bitmask(offsets) -> int:
@@ -327,27 +239,30 @@ def semigroup_from_gaps(gaps) -> NumericalSemigroup:
 class KappaSets:
     """The dual set of a semigroup relative to its Frobenius number.
 
-    k is the full set {a >= 0 : gamma - a not in S} as a tailed set, k_star
-    its finite part below the conductor, and s_star the semigroup elements
-    up to the conductor.  k always contains the semigroup, and k_star has
-    exactly genus-many elements.
+    k_star is the part below the conductor of K = {a >= 0 : gamma - a not
+    in S}, which holds every integer from the conductor on; s_star is the
+    semigroup elements up to the conductor.  K always contains the
+    semigroup, and k_star has exactly genus-many elements.
     """
 
-    k: ValueSet
     k_star: tuple[int, ...]
     s_star: tuple[int, ...]
 
 
 def kappa_sets(s: NumericalSemigroup) -> KappaSets:
-    """The dual sets of s; the mask of k is the gap mask reversed over
+    """The dual sets of s; k_star is read off the gap mask reversed over
     [0, beta), since a is in k_star exactly when gamma - a is a gap."""
-    k = ValueSet._from_mask(0, reverse_bits(s.gap_mask, s.beta), s.beta)
-    return KappaSets(k, k.finite_part, s.elements_below_conductor)
+    return KappaSets(set_bits(reverse_bits(s.gap_mask, s.beta)), s.elements_below_conductor)
 
 
 def is_symmetric(s: NumericalSemigroup) -> bool:
-    """Whether a is in S exactly when gamma - a is not, for 0 <= a <= gamma."""
-    return all((a in s) != ((s.gamma - a) in s) for a in range(s.beta))
+    """Whether a is in S exactly when gamma - a is not, for 0 <= a <= gamma.
+
+    a and gamma - a are never both in S, since gamma is a gap, so this
+    holds exactly when S has as many elements below beta as gaps: 2 delta
+    = beta.
+    """
+    return 2 * s.delta == s.beta
 
 
 def eta_local(s: NumericalSemigroup) -> int:

@@ -3,14 +3,17 @@
 Every digest below is the sha256 of output taken before the curve record
 and the scroll type were merged: catalog renders in all three formats,
 the filtered catalogs, `analyze` in json and markdown, and the stdout and
-exit code of every strict audit.  A change that keeps the contract keeps
-every digest; `test_byte_stable` in test_catalog.py only compares two runs
-of the same code with each other.
+exit code of every strict audit.  The stdout of each demo's `main()` is
+pinned the same way, taken before `ValueSet` was deleted.  A change that
+keeps the contract keeps every digest; `test_byte_stable` in
+test_catalog.py only compares two runs of the same code with each other.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +75,16 @@ AUDITS = {
     "twopoint-g5": (3, "0c2338322022558d60d2f02cdf2b52ebc44342994ccd1317b4c71a8e79eb199d"),
 }
 
+DEMOS = {
+    "canonical_models": "b374de3b4fa2a96299e3052cec34cce45f1984e861f483c549bbf805cbddfeba",
+    "chow_formulas": "59156d7f9774a4029e7c035573acdc60a62d5aa0370acc8713e05b4b31ff4bd5",
+    "gonality_and_scrolls": "3cb07790a214ca1508fd93a93af2fea1d4a901f1ce65fa707e5e2bba753c97cd",
+    "semigroup_tour": "840a0f2a5e3c42c0de09273bc76cfc8a3592884803074ed394dba1d0f2781938",
+    "table_audit": "e4ba1d40e103c79463ae5340140a5eac46b97b61dee31c21c1b162ebc92cf42e",
+}
+
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -96,3 +109,15 @@ def test_strict_audits(capsys):
         code = main(["audit", "--fixture", name, "--strict"])
         assert (code, sha256(capsys.readouterr().out)) == AUDITS[name], name
 
+
+def test_every_demo_is_pinned():
+    assert sorted(p.stem for p in DEMO_DIR.glob("*.py")) == sorted(DEMOS)
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_output(capsys, name):
+    spec = importlib.util.spec_from_file_location(f"demo_{name}", DEMO_DIR / f"{name}.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main()
+    assert sha256(capsys.readouterr().out) == DEMOS[name]

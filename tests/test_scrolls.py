@@ -1,4 +1,9 @@
-"""Tests for run decompositions, scroll structures, and the minor check."""
+"""Tests for run decompositions, scroll structures, and the minor check.
+
+The reference walks below build their runs with `residue_run_decomposition`,
+which groups the set by residue class mod the step, so they stay
+independent of the set walk in `run_decomposition`.
+"""
 
 import math
 import time
@@ -38,12 +43,33 @@ def canonical_sets() -> tuple[tuple[int, ...], ...]:
     )
 
 
+def residue_run_decomposition(values, step: int) -> tuple[tuple[int, ...], ...]:
+    """Maximal step-runs grouped by residue class mod step, each class cut
+    where a gap opens, then sorted by minimum: the reference for the set
+    walk of `run_decomposition`."""
+    classes: dict[int, list[int]] = {}
+    for v in sorted(set(values)):
+        classes.setdefault(v % step, []).append(v)
+    runs: list[list[int]] = []
+    for members in classes.values():
+        current = [members[0]]
+        for v in members[1:]:
+            if v == current[-1] + step:
+                current.append(v)
+            else:
+                runs.append(current)
+                current = [v]
+        runs.append(current)
+    runs.sort(key=lambda r: r[0])
+    return tuple(tuple(r) for r in runs)
+
+
 def full_walk(vals: tuple[int, ...]) -> list[tuple[int, int]]:
     """(step, number of runs built) at every step of a sorted set of two or
     more values: the walk `_run_counts` prunes."""
     kappa = math.gcd(*(v - vals[0] for v in vals))
     return [
-        (step, len(run_decomposition(vals, step)))
+        (step, len(residue_run_decomposition(vals, step)))
         for step in range(kappa, vals[-1] - vals[0] + 1, kappa)
     ]
 
@@ -78,7 +104,7 @@ def reference_split_count(values, d: int) -> int:
     for step in range(kappa, vals[-1] - vals[0] + 1, kappa):
         if d == len(vals) and step != kappa:
             continue
-        runs = run_decomposition(vals, step)
+        runs = residue_run_decomposition(vals, step)
         for pieces in all_compositions(d, len(runs)) if len(runs) <= d else ():
             total += math.prod(math.comb(len(r) - 1, k - 1) for r, k in zip(runs, pieces))
     return total
@@ -95,7 +121,7 @@ def reference_scroll_structures(values, d: int) -> tuple[ScrollStructure, ...]:
     singletons = (1,) * n
     out = []
     for step in range(kappa, vals[-1] - vals[0] + 1, kappa):
-        runs = run_decomposition(vals, step)
+        runs = residue_run_decomposition(vals, step)
         if len(runs) > d:
             continue
         seen = set()
@@ -130,11 +156,14 @@ def assert_pruned_walk(values, limit) -> None:
 
 
 def assert_run_counts(values) -> None:
+    """At every step up to one past the span, the set walk builds the
+    residue runs, and the popcount counts them."""
     vals = sorted(set(values))
     mask = bitmask(v - vals[0] for v in vals)
     for step in range(1, vals[-1] - vals[0] + 2):
-        expected = len(run_decomposition(vals, step))
-        assert _run_count(mask, len(vals), step) == expected, (vals, step)
+        runs = run_decomposition(vals, step)
+        assert runs == residue_run_decomposition(vals, step), (vals, step)
+        assert _run_count(mask, len(vals), step) == len(runs), (vals, step)
 
 
 class TestRuns:
@@ -146,6 +175,12 @@ class TestRuns:
 
     def test_single_element(self):
         assert run_decomposition((4,), 3) == ((4,),)
+
+    def test_runs_end_at_gaps_and_unsorted_input(self):
+        values = (9, 1, 3, 7, 3, 5, 13)
+        assert run_decomposition(values, 2) == ((1, 3, 5, 7, 9), (13,))
+        assert run_decomposition(values, 4) == ((1, 5, 9, 13), (3, 7))
+        assert run_decomposition(values, 4) == residue_run_decomposition(values, 4)
 
 
 class TestStructures:
@@ -381,6 +416,18 @@ class TestSplitCount:
                     every = all_compositions(total, parts)
                     valid = [c for c in every if all(k <= m for k, m in zip(c, caps))]
                     assert list(_compositions(total, caps)) == valid, (total, caps)
+
+    def test_one_block_per_value_on_a_wide_set(self):
+        """d = n on the 19,701-value canonical set of (3, 200): the base
+        step has 8,910 runs, each cut into singletons, a composition far
+        deeper than the recursion limit."""
+        values = canonical_exponents(make_curve((3, 200)))
+        start = time.perf_counter()
+        structures = scroll_structures(values, 19_701)
+        assert time.perf_counter() - start < 5.0
+        assert len(structures) == 1
+        assert structures[0].blocks == tuple((v,) for v in values)
+        assert structures[0].step == 1
 
     def test_many_runs_and_high_dimension_are_fast(self):
         """Near d = n a step has many short runs and the compositions of d

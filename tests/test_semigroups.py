@@ -1,14 +1,14 @@
-"""Tests for numerical semigroups, value sets, and the genus enumeration.
+"""Tests for numerical semigroups, their dual sets, and the genus enumeration.
 
 The enumeration is cross-checked against a brute-force oracle that tries
 every candidate gap subset directly, and the named invariants are frozen
-from hand computations.  The bitmask ValueSet is held to a test-local
-tuple version (`TupleValueSet`), which `test_curves.py` also uses as the
-reference for the sheaf route, and the closed-form mu to the route it
-replaced: the stabilizer of the stable Minkowski power of K, on tuples.
-The gap-mask semigroup is held to routes it replaced: the window and any()
+from hand computations.  A test-local tailed set of tuples
+(`TupleValueSet`) is the reference for the sheaf route in `test_curves.py`
+and for the closed-form mu here, which is held to the route it replaced:
+the stabilizer of the stable Minkowski power of K, on tuples.  The
+gap-mask semigroup is held to routes it replaced: the window and any()
 sieves, invariants read off gap tuples, the pairwise minimal-generator
-search and the count of eta over K*.
+search, the count of eta over K* and the membership test of symmetry.
 """
 
 import math
@@ -29,7 +29,6 @@ from scrollcurves.errors import (
 from scrollcurves.semigroups import (
     MuData,
     NumericalSemigroup,
-    ValueSet,
     enumerate_genus,
     eta_local,
     is_symmetric,
@@ -38,6 +37,7 @@ from scrollcurves.semigroups import (
     mu_local,
     recover_from_kappa_star,
     semigroup_from_gaps,
+    set_bits,
 )
 
 
@@ -138,8 +138,7 @@ def semigroups_up_to(genus: int):
 
 class TupleValueSet:
     """A finite part plus an infinite tail, stored as a sorted tuple and a
-    frozenset: the representation `ValueSet` had before it became a
-    bitmask, kept as the reference its masks are held to.
+    frozenset: the reference the sheaf route and mu are held to.
 
     The stored form is canonical: finite elements lie strictly below the
     tail and the integer immediately below the tail is absent, so equality
@@ -232,14 +231,10 @@ def generated_semigroup(v):
     return make_semigroup(finite + list(range(v.tail_start, 2 * v.tail_start)))
 
 
-def same_set(fast: ValueSet, ref: TupleValueSet) -> bool:
-    return (fast.finite_part, fast.tail_start) == (ref.finite_part, ref.tail_start)
-
-
-def semigroup_values(s: NumericalSemigroup) -> ValueSet:
+def semigroup_values(s: NumericalSemigroup) -> TupleValueSet:
     """A semigroup as a tailed set, from the complement of its gap mask
     below the conductor: the finite part the sheaf route shifts."""
-    return ValueSet._from_mask(0, ~s.gap_mask & ((1 << s.beta) - 1), s.beta)
+    return TupleValueSet(set_bits(~s.gap_mask & ((1 << s.beta) - 1)), s.beta)
 
 
 gcd_one_generators = st.lists(
@@ -252,30 +247,16 @@ wide_generators = st.lists(
 
 
 class TestValueSet:
-    def test_canonical_form_absorbs_into_tail(self):
-        v = ValueSet((3, 5, 6, 7, 9), 8)
-        assert v.finite_part == (3,)
-        assert v.tail_start == 5
-        assert v == ValueSet((3,), 5)
-
-    def test_membership_and_min(self):
-        v = ValueSet((-2, 1), 4)
-        assert -2 in v and 1 in v and 4 in v and 100 in v
-        assert -3 not in v and 0 not in v and 3 not in v
-        assert v.low == -2
-
     def test_shift(self):
         # one shift translates the whole set, tail included
         shifted = TupleValueSet((0, 2), 5).shift(-3)
         assert shifted == TupleValueSet((-3, -1), 2)
-        assert same_set(ValueSet((-3, -1), 2), shifted)
 
     def test_union(self):
         # {0, 2, 5, ...} joined with {2, 4, 7, ...}; the tail absorbs 4 + 1
         v = TupleValueSet((0, 2), 5)
         joined = v.union(v.shift(2)).union(v)
         assert joined == TupleValueSet((0, 2, 4), 5)
-        assert same_set(ValueSet((0, 2, 4), 5), joined)
 
     def test_count_difference(self):
         t = TupleValueSet((0,), 3)
@@ -285,10 +266,6 @@ class TestValueSet:
         assert t.count_difference(t) == 0
 
 
-value_set_args = st.tuples(
-    st.lists(st.integers(min_value=-40, max_value=40), max_size=16),
-    st.integers(min_value=-60, max_value=60),
-)
 nonnegative_args = st.tuples(
     st.lists(st.integers(min_value=0, max_value=40), max_size=10),
     st.integers(min_value=0, max_value=60),
@@ -296,71 +273,8 @@ nonnegative_args = st.tuples(
 
 
 class TestValueSetOracle:
-    """The bitmask ValueSet against the tuple reference, on finite parts
-    in [-40, 40] with any tail, inside or outside that range."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(value_set_args, st.integers(min_value=-70, max_value=70))
-    def test_canonical_form_and_queries(self, args, n):
-        fast, ref = ValueSet(*args), TupleValueSet(*args)
-        assert same_set(fast, ref)
-        lo = ref.min_element
-        assert [x for x in range(lo, n + 1) if x in fast] == ref.elements_up_to(n)
-        for x in range(-70, 71):
-            assert (x in fast) == (x in ref), x
-        # the stored triple: low is the min element, bit 0 is set unless the
-        # finite part is empty, and the integer below the tail is absent
-        assert fast.low == ref.min_element
-        assert fast.mask & 1 == (1 if ref.finite_part else 0)
-        assert fast.mask.bit_length() < max(1, fast.tail_start - fast.low)
-
-    @settings(max_examples=300, deadline=None)
-    @given(value_set_args, value_set_args, st.integers(min_value=0, max_value=5))
-    def test_equality_and_hash(self, a, b, pad):
-        fast_a, fast_b = ValueSet(*a), ValueSet(*b)
-        assert (fast_a == fast_b) == (TupleValueSet(*a) == TupleValueSet(*b))
-        finite, tail = a
-        # the same set with part of its tail written into the finite part
-        spelled = ValueSet(list(finite) + list(range(tail, tail + pad)), tail + pad)
-        assert spelled == fast_a and hash(spelled) == hash(fast_a)
-
-    @settings(max_examples=300, deadline=None)
-    @given(value_set_args, st.integers(min_value=-40, max_value=40))
-    def test_shift(self, args, k):
-        """The mask is position-free: moving low and the tail by k shifts
-        the set, as the tuple shift does element by element."""
-        fast = ValueSet(*args)
-        shifted = ValueSet._from_mask(fast.low + k, fast.mask, fast.tail_start + k)
-        assert same_set(shifted, TupleValueSet(*args).shift(k))
-
-    @settings(max_examples=300, deadline=None)
-    @given(value_set_args, st.lists(st.integers(-30, 30), min_size=1, max_size=6))
-    def test_shifted_union_is_chained_unions(self, args, shifts):
-        """One or of the mask shifted by each k, from the smallest shift
-        up, against chained tuple unions."""
-        ref = TupleValueSet(*args)
-        chained = ref.shift(shifts[0])
-        for k in shifts[1:]:
-            chained = chained.union(ref.shift(k))
-        fast, first = ValueSet(*args), min(shifts)
-        mask = 0
-        for k in shifts:
-            mask |= fast.mask << (k - first)
-        union = ValueSet._from_mask(fast.low + first, mask, fast.tail_start + first)
-        assert same_set(union, chained)
-
-    @settings(max_examples=300, deadline=None)
-    @given(value_set_args, value_set_args)
-    def test_count_difference(self, a, b):
-        """The tuple count against a popcount of the finite parts over
-        [min low, max tail), past which both sets hold everything."""
-        fast_a, fast_b = ValueSet(*a), ValueSet(*b)
-        ref_a, ref_b = TupleValueSet(*a), TupleValueSet(*b)
-        lo = min(fast_a.low, fast_b.low)
-        hi = max(fast_a.tail_start, fast_b.tail_start)
-        masks = [sum(1 << (x - lo) for x in range(lo, hi) if x in v) for v in (fast_a, fast_b)]
-        assert (masks[0] & ~masks[1]).bit_count() == ref_a.count_difference(ref_b)
-        assert (masks[1] & ~masks[0]).bit_count() == ref_b.count_difference(ref_a)
+    """The tuple stabilizer and stable Minkowski power on sets holding 0,
+    with finite parts in [0, 40] and any tail in [0, 60]."""
 
     @settings(max_examples=300, deadline=None)
     @given(nonnegative_args)
@@ -377,8 +291,7 @@ class TestValueSetOracle:
         generates, as sieved by `make_semigroup`."""
         finite, tail = args
         v = TupleValueSet([0] + finite, tail)
-        fast = semigroup_values(generated_semigroup(v))
-        assert same_set(fast, tuple_stable_minkowski_power(v))
+        assert semigroup_values(generated_semigroup(v)) == tuple_stable_minkowski_power(v)
 
 
 class TestConstruction:
@@ -433,7 +346,7 @@ class TestConstruction:
 
     def test_value_set(self):
         s = make_semigroup((4, 5, 7))
-        assert semigroup_values(s) == ValueSet((0, 4, 5), 7)
+        assert semigroup_values(s) == TupleValueSet((0, 4, 5), 7)
         assert semigroup_values(s).finite_part == s.elements_below_conductor[:-1]
 
     def test_from_gap_mask(self):
@@ -541,7 +454,10 @@ class TestKappa:
         assert kappa_sets(make_semigroup((1,))).k_star == ()
 
     def test_kappa_of_whole_numbers_is_everything(self):
-        assert kappa_sets(make_semigroup((1,))).k == ValueSet((), 0)
+        s = make_semigroup((1,))
+        ks = kappa_sets(s)
+        assert ks.k_star == () and ks.s_star == (0,)
+        assert TupleValueSet(ks.k_star, s.beta) == TupleValueSet((), 0)
 
     def test_kappa_size_and_extremes(self):
         for genus in range(7):
@@ -551,8 +467,9 @@ class TestKappa:
                 if s.delta > 0:
                     assert ks.k_star[0] == 0
                     assert ks.k_star[-1] == s.gamma - 1
+                # S inside K: below beta through k_star, K holds the rest
                 for a in ks.s_star:
-                    assert a in ks.k
+                    assert a >= s.beta or a in ks.k_star
 
     def test_symmetry_matches_eta(self):
         assert is_symmetric(make_semigroup((2, 3)))
@@ -562,6 +479,20 @@ class TestKappa:
             for s in enumerate_genus(genus):
                 assert is_symmetric(s) == (eta_local(s) == 0)
                 assert is_symmetric(s) == (2 * s.delta == s.beta)
+
+    @staticmethod
+    def membership_symmetric(s) -> bool:
+        """Symmetry by one membership test of a and gamma - a for each a
+        below the conductor."""
+        return all((a in s) != ((s.gamma - a) in s) for a in range(s.beta))
+
+    def test_symmetry_matches_membership_route(self):
+        """The closed form 2 delta = beta against the membership loop, on
+        every semigroup of genus <= 12."""
+        semigroups = semigroups_up_to(12)
+        assert len(semigroups) == 1413
+        for s in semigroups:
+            assert is_symmetric(s) == self.membership_symmetric(s), s.gaps
 
     def test_eta_is_the_count_over_k_star(self):
         """The popcount of eta against one membership test per element of
@@ -580,7 +511,7 @@ class TestMu:
         s = make_semigroup((4, 5, 7))
         data = mu_local(s)
         assert data.closure == make_semigroup((3, 4, 5))
-        assert semigroup_values(data.closure) == ValueSet((0,), 3)
+        assert semigroup_values(data.closure) == TupleValueSet((0,), 3)
         assert data.mu == 1
         # <K> is sieved from every nonzero element of K below beta, but
         # reports only its minimal generators
@@ -591,9 +522,9 @@ class TestMu:
 
     def test_square_fills_everything(self):
         s = make_semigroup((3, 7, 8))
-        k = kappa_sets(s).k
-        assert k == ValueSet((0, 1, 3, 4), 6)
-        chain = tuple_stable_minkowski_power(TupleValueSet(k.finite_part, k.tail_start))
+        k_star = kappa_sets(s).k_star
+        assert (k_star, s.beta) == ((0, 1, 3, 4), 6)
+        chain = tuple_stable_minkowski_power(TupleValueSet(k_star, s.beta))
         assert chain == TupleValueSet((), 0)
         assert mu_local(s) == MuData(2, NumericalSemigroup(()))
 
@@ -656,8 +587,8 @@ class TestMu:
                 data = mu_local(s)
                 assert isinstance(data, MuData)
                 assert data.mu == mu, s
-                assert same_set(semigroup_values(data.closure), stable), s
-                assert same_set(semigroup_values(data.closure), t), s
+                assert semigroup_values(data.closure) == stable, s
+                assert semigroup_values(data.closure) == t, s
                 count += 1
         assert count == 478
 
