@@ -20,13 +20,13 @@ from scrollcurves import (
 
 def describe(generators) -> None:
     s = make_semigroup(generators)
-    k = kappa_sets(s)
+    k_star = kappa_sets(s)
     print(f"S = <{', '.join(map(str, s.minimal_generators))}>")
     print(f"  gaps: {s.gaps}")
     print(f"  delta={s.delta} beta={s.beta} gamma={s.gamma} alpha={s.alpha}")
     print(f"  symmetric: {is_symmetric(s)}  eta: {eta_local(s)}  mu: {mu_local(s).mu}")
-    print(f"  K* = {k.k_star}")
-    back = recover_from_kappa_star(k.k_star)
+    print(f"  K* = {k_star}")
+    back = recover_from_kappa_star(k_star)
     print(f"  recovered from K*: {back == s}")
     print()
 

@@ -6,7 +6,7 @@ in two-point mode), computes every invariant from scratch, and checks the
 structural identities on each row as it is built.  The audit recomputes a
 bundled reference table and reports, row by row, whether the recorded
 values agree with the computed ones.  Rendering produces deterministic
-JSON, CSV, or markdown.
+JSON, CSV, or markdown for catalog rows and markdown for audit reports.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ from .semigroups import DEFAULT_GENUS_BOUND, enumerate_genus
 @dataclass(frozen=True)
 class CatalogRow(CurveAnalysis):
     """One catalog entry: a curve's invariant record with the scroll
-    structures of its canonical model and where the curve came from."""
+    structures of its canonical model."""
 
     structures: tuple[ScrollStructure, ...]
-    provenance: str
 
     def to_dict(self) -> dict:
         return {
@@ -114,29 +113,20 @@ def check_scroll_correspondence(exponents, genus: int, gon: int, msd: int) -> No
 
 
 def _catalog_row(
-    curve: MonomialCurve,
-    record: CurveAnalysis,
-    structures: tuple[ScrollStructure, ...],
-    provenance: str,
-    scroll_dim: int | None,
+    curve: MonomialCurve, record: CurveAnalysis, structures: tuple[ScrollStructure, ...]
 ) -> CatalogRow:
     """The row of an analyzed curve from the scroll structures of its
     canonical model at the minimum scroll dimension, with the structural
-    identities checked; a different scroll_dim lists the structures at
-    that dimension instead."""
+    identities checked."""
     msd = len(structures[0].blocks)
     raw = canonical_section_exponents(curve)
     if not verify_dualizing_candidate(curve, raw):
         raise PathsDisagree(f"canonical sections of {record.exponents} fail the degree test")
     check_scroll_correspondence(record.exponents, record.genus, record.gonality, msd)
-    if scroll_dim is not None and scroll_dim != msd:
-        structures = scroll_structures(record.canonical, scroll_dim)
-    return CatalogRow(**vars(record), structures=structures, provenance=provenance)
+    return CatalogRow(**vars(record), structures=structures)
 
 
-def row_for_curve(
-    curve: MonomialCurve, provenance: str = "computed", scroll_dim: int | None = None
-) -> CatalogRow:
+def row_for_curve(curve: MonomialCurve) -> CatalogRow:
     """The catalog row of a single curve, invariant checks included.
 
     The canonical model is computed first, so a curve of genus 0 raises
@@ -144,7 +134,7 @@ def row_for_curve(
     """
     structures = scroll_structures(canonical_exponents(curve))
     record = analyze(curve)
-    return _catalog_row(curve, record, structures, provenance, scroll_dim)
+    return _catalog_row(curve, record, structures)
 
 
 def build_catalog(
@@ -189,7 +179,6 @@ def build_catalog(
     else:
         raise ValueError("singular_points must be 1 or 2")
 
-    provenance = "computed" if singular_points == 1 else "fixture"
     rows = []
     for curve in curves.values():
         structures = scroll_structures(canonical_exponents(curve))
@@ -198,7 +187,7 @@ def build_catalog(
         record = analyze(curve)
         if non_gorenstein and record.eta == 0:
             continue
-        rows.append(_catalog_row(curve, record, structures, provenance, scroll_dim))
+        rows.append(_catalog_row(curve, record, structures))
     rows.sort(key=lambda r: (r.genus, r.exponents))
     return rows
 
@@ -261,27 +250,6 @@ def audit_fixture(name: str) -> AuditReport:
     return AuditReport(name, matched=len(rows) - len(flagged), flagged=tuple(flagged))
 
 
-def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
-
-
-def _report_dict(report: AuditReport) -> dict:
-    return {
-        "matched": report.matched,
-        "flagged": [
-            {
-                "exponents": list(record.row.exponents),
-                "field": record.field,
-                "fixture": _plain(record.fixture_value),
-                "computed": _plain(record.computed_value),
-            }
-            for record in report.flagged
-        ],
-    }
-
-
 def _structures_cell(row: CatalogRow) -> str:
     return "; ".join(
         f"dims={s.scroll_type.dims} step={s.step} ell={s.ell}" for s in row.structures
@@ -333,50 +301,33 @@ def _render_rows(rows, fmt: str) -> str:
 
 
 def _render_report(report: AuditReport, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(_report_dict(report), separators=(",", ":"))
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["exponents", "field", "fixture", "computed"])
+    if fmt != "markdown":
+        raise ValueError(f"unknown format {fmt!r}")
+    lines = [f"{report.name}: matched {report.matched} of {report.total}"]
+    if report.flagged:
+        lines += [
+            "",
+            "| C | field | recorded | computed |",
+            "| --- | --- | --- | --- |",
+        ]
         for record in report.flagged:
-            writer.writerow(
-                [
-                    " ".join(map(str, record.row.exponents)),
+            lines.append(
+                "| {} | {} | {} | {} |".format(
+                    format_exponents(record.row.exponents),
                     record.field,
                     record.fixture_value,
                     record.computed_value,
-                ]
-            )
-        return buffer.getvalue()
-    if fmt == "markdown":
-        lines = [
-            f"{report.name}: matched {report.matched} of {report.total}",
-        ]
-        if report.flagged:
-            lines += [
-                "",
-                "| C | field | recorded | computed |",
-                "| --- | --- | --- | --- |",
-            ]
-            for record in report.flagged:
-                lines.append(
-                    "| {} | {} | {} | {} |".format(
-                        format_exponents(record.row.exponents),
-                        record.field,
-                        record.fixture_value,
-                        record.computed_value,
-                    )
                 )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+            )
+    return "\n".join(lines) + "\n"
 
 
 def render(obj, fmt: str = "json") -> str:
     """Serialize catalog rows or an audit report.
 
-    `fmt` is json, csv, or markdown (md accepted as an alias); output is
-    deterministic byte for byte.
+    Catalog rows render as json, csv, or markdown, an audit report as
+    markdown only (md accepted as an alias); output is deterministic
+    byte for byte.
     """
     fmt = {"md": "markdown"}.get(fmt, fmt)
     if isinstance(obj, AuditReport):

@@ -360,11 +360,11 @@ def pa_from_bundle(amb: Ambient, b: RankTwoBundleClass) -> int:
     return int(path_a)
 
 
-def genus_on_surface(degree: int, n: int, ell: int | None = None) -> int:
+def genus_on_surface(degree: int, n: int, ell: int) -> int:
     """Arithmetic genus of a degree-`degree` curve on a smooth surface
     scroll spanning P^n, meeting a fiber ell times (see `genus_on_cone`
     for the cone over a rational normal curve)."""
-    if degree < 1 or n < 3 or ell is None or ell < 1:
+    if degree < 1 or n < 3 or ell < 1:
         raise ValueError("a surface scroll curve needs degree >= 1, n >= 3, ell >= 1")
     twice = (2 * ell - 2) * degree - (n - 1) * ell ** 2 + (n - 3) * ell
     if twice % 2 != 0:

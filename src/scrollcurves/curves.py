@@ -460,7 +460,7 @@ def _singular_branch_dual(curve: MonomialCurve) -> tuple[int, ...]:
             f"{curve} is singular at both points; no preferred orientation"
         )
     s = curve.s_zero if d0 > 0 else curve.s_infinity
-    return kappa_sets(s).k_star
+    return kappa_sets(s)
 
 
 def isomorphic_via_canonical(a: MonomialCurve, b: MonomialCurve) -> bool:

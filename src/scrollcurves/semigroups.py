@@ -235,24 +235,16 @@ def semigroup_from_gaps(gaps) -> NumericalSemigroup:
     return s
 
 
-@dataclass(frozen=True)
-class KappaSets:
-    """The dual set of a semigroup relative to its Frobenius number.
+def kappa_sets(s: NumericalSemigroup) -> tuple[int, ...]:
+    """The dual set K* of s relative to its Frobenius number.
 
-    k_star is the part below the conductor of K = {a >= 0 : gamma - a not
-    in S}, which holds every integer from the conductor on; s_star is the
-    semigroup elements up to the conductor.  K always contains the
-    semigroup, and k_star has exactly genus-many elements.
+    K* is the part below the conductor of K = {a >= 0 : gamma - a not in
+    S}, which holds every integer from the conductor on.  K always contains
+    the semigroup, and K* has exactly genus-many elements.  It is read off
+    the gap mask reversed over [0, beta), since a is in K* exactly when
+    gamma - a is a gap.
     """
-
-    k_star: tuple[int, ...]
-    s_star: tuple[int, ...]
-
-
-def kappa_sets(s: NumericalSemigroup) -> KappaSets:
-    """The dual sets of s; k_star is read off the gap mask reversed over
-    [0, beta), since a is in k_star exactly when gamma - a is a gap."""
-    return KappaSets(set_bits(reverse_bits(s.gap_mask, s.beta)), s.elements_below_conductor)
+    return set_bits(reverse_bits(s.gap_mask, s.beta))
 
 
 def is_symmetric(s: NumericalSemigroup) -> bool:

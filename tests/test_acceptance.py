@@ -216,7 +216,7 @@ def test_criterion_07_structural_identities():
                 assert g == record.g_prime + record.eta + record.mu, curve.exponents
             if record.eta == 1:
                 assert record.mu == 1, curve.exponents
-            assert recover_from_kappa_star(kappa_sets(semigroup).k_star) == semigroup
+            assert recover_from_kappa_star(kappa_sets(semigroup)) == semigroup
     print(
         "criterion 7 PASS: canonical size g, dualizing degree 2g-2 with "
         "h0 = g, g = g' + eta + mu, eta=1 implies mu=1, recovery roundtrip"
@@ -319,7 +319,7 @@ def test_criterion_11_high_genus_counts_and_genus13_catalog():
         if row.eta == 1:
             assert row.mu == 1, row.exponents
         semigroup = curve.s_zero
-        assert recover_from_kappa_star(kappa_sets(semigroup).k_star) == semigroup
+        assert recover_from_kappa_star(kappa_sets(semigroup)) == semigroup
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(

@@ -492,7 +492,7 @@ class TestGenusFormulas:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            genus_on_surface(3, 3)
+            genus_on_surface(3, 3, 0)
         with pytest.raises(ValueError):
             genus_on_cone(0, 3)
 

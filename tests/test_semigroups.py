@@ -404,7 +404,7 @@ class TestRoundTrips:
         recover_from_kappa_star of the dual: one semigroup throughout."""
         s = make_semigroup(gens)
         from_gaps = semigroup_from_gaps(s.gaps)
-        back = recover_from_kappa_star(kappa_sets(from_gaps).k_star)
+        back = recover_from_kappa_star(kappa_sets(from_gaps))
         assert s == from_gaps == back
         assert s.gap_mask == from_gaps.gap_mask == back.gap_mask
         assert from_gaps.generators == back.generators == s.minimal_generators
@@ -449,27 +449,27 @@ class TestStreamingSieve:
 
 class TestKappa:
     def test_known_kappa_stars(self):
-        assert kappa_sets(make_semigroup((5, 6, 7, 8, 9))).k_star == (0, 1, 2, 3)
-        assert kappa_sets(make_semigroup((4, 5, 7))).k_star == (0, 3, 4, 5)
-        assert kappa_sets(make_semigroup((1,))).k_star == ()
+        assert kappa_sets(make_semigroup((5, 6, 7, 8, 9))) == (0, 1, 2, 3)
+        assert kappa_sets(make_semigroup((4, 5, 7))) == (0, 3, 4, 5)
+        assert kappa_sets(make_semigroup((1,))) == ()
 
     def test_kappa_of_whole_numbers_is_everything(self):
         s = make_semigroup((1,))
-        ks = kappa_sets(s)
-        assert ks.k_star == () and ks.s_star == (0,)
-        assert TupleValueSet(ks.k_star, s.beta) == TupleValueSet((), 0)
+        k_star = kappa_sets(s)
+        assert k_star == () and s.elements_below_conductor == (0,)
+        assert TupleValueSet(k_star, s.beta) == TupleValueSet((), 0)
 
     def test_kappa_size_and_extremes(self):
         for genus in range(7):
             for s in enumerate_genus(genus):
-                ks = kappa_sets(s)
-                assert len(ks.k_star) == s.delta
+                k_star = kappa_sets(s)
+                assert len(k_star) == s.delta
                 if s.delta > 0:
-                    assert ks.k_star[0] == 0
-                    assert ks.k_star[-1] == s.gamma - 1
-                # S inside K: below beta through k_star, K holds the rest
-                for a in ks.s_star:
-                    assert a >= s.beta or a in ks.k_star
+                    assert k_star[0] == 0
+                    assert k_star[-1] == s.gamma - 1
+                # S inside K: below beta through K*, K holds the rest
+                for a in s.elements_below_conductor:
+                    assert a >= s.beta or a in k_star
 
     def test_symmetry_matches_eta(self):
         assert is_symmetric(make_semigroup((2, 3)))
@@ -498,7 +498,7 @@ class TestKappa:
         """The popcount of eta against one membership test per element of
         K*, on every semigroup of genus <= 12."""
         for s in semigroups_up_to(12):
-            assert eta_local(s) == sum(1 for a in kappa_sets(s).k_star if a not in s)
+            assert eta_local(s) == sum(1 for a in kappa_sets(s) if a not in s)
 
     def test_eta_examples(self):
         assert eta_local(make_semigroup((4, 5, 7))) == 1
@@ -522,7 +522,7 @@ class TestMu:
 
     def test_square_fills_everything(self):
         s = make_semigroup((3, 7, 8))
-        k_star = kappa_sets(s).k_star
+        k_star = kappa_sets(s)
         assert (k_star, s.beta) == ((0, 1, 3, 4), 6)
         chain = tuple_stable_minkowski_power(TupleValueSet(k_star, s.beta))
         assert chain == TupleValueSet((), 0)
@@ -568,7 +568,7 @@ class TestMu:
         for genus in range(6):
             for s in enumerate_genus(genus):
                 t = mu_local(s).closure
-                for a in s.elements_below_conductor + kappa_sets(s).k_star:
+                for a in s.elements_below_conductor + kappa_sets(s):
                     assert a in t
 
     def test_eta_one_forces_mu_one(self):
@@ -606,7 +606,7 @@ class TestRecovery:
     def test_roundtrip_over_sweep(self):
         for genus in range(7):
             for s in enumerate_genus(genus):
-                assert recover_from_kappa_star(kappa_sets(s).k_star) == s
+                assert recover_from_kappa_star(kappa_sets(s)) == s
 
     def test_named_example(self):
         assert recover_from_kappa_star((0, 3, 4, 5)) == make_semigroup((4, 5, 7))
