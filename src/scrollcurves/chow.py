@@ -10,9 +10,7 @@ Each rational value (a closed form, or a ring route's Todd and Chern
 character denominators 2, 6, 12 and 24) is one Fraction built at the end
 from an integer numerator over a fixed denominator.
 On top of the ring sit the closed-form Euler characteristics for surfaces
-and threefolds, rank-2 bundle computations, arithmetic-genus formulas, and
-two report generators that check a curve record against the structural
-statements satisfied by curves whose canonical models land on scrolls.
+and threefolds, rank-2 bundle computations and arithmetic-genus formulas.
 Every quantity with more than one natural derivation is computed along all
 of them and compared exactly.
 """
@@ -329,18 +327,20 @@ def bundle_chi_dual(amb: Ambient, b: RankTwoBundleClass) -> int:
 
 def pa_from_bundle(amb: Ambient, b: RankTwoBundleClass) -> int:
     """Arithmetic genus of the curve cut out by a rank-2 bundle on a
-    threefold scroll, computed along four algebraically independent paths
-    that must agree exactly:
+    threefold scroll, computed along three independent paths that must
+    agree exactly:
 
-    the expanded closed form; the structure-sheaf resolution (chi of the
-    dual bundle minus chi of the dual determinant); the Chow product
-    c2(E).(K + c1(E)); and the linear form in the fiber degree.
+    the expanded closed form, which is 1 + ((u - 3) D + (v + e - 2) w)/2
+    in the curve degree D = we + z and the fiber count w; the
+    structure-sheaf resolution (chi of the dual bundle, itself checked
+    against the ring, minus chi of the dual determinant); and the Chow
+    product c2(E).(K + c1(E)).
     """
     if amb.d != 3:
         raise UnsupportedDimension("the genus formula is coded for threefolds only")
     _require_smooth(amb)
     u, v, w, z = b.u, b.v, b.w, b.z
-    e, n = amb.e, amb.ambient_dimension
+    e = amb.e
     path_a = 1 + Fraction((e * (u - 2) + v - 2) * w + (u - 3) * z, 2)
     path_b = _bundle_chi_dual_fraction(amb, b) - _chi_closed_form(
         amb, DivisorClass(-u, -v)
@@ -348,11 +348,8 @@ def pa_from_bundle(amb: Ambient, b: RankTwoBundleClass) -> int:
     c2e = chow_element(amb, {(2, 0): w, (1, 1): z})
     adjoint = chow_element(amb, {(1, 0): u - 3, (0, 1): v + e - 2})
     path_c = 1 + Fraction(chow_degree(amb, chow_mul(amb, c2e, adjoint)), 2)
-    path_d = 1 + Fraction((u - 3) * (w * e + z) + w * (v + n - 4), 2)
-    if not (path_a == path_b == path_c == path_d):
-        raise PathsDisagree(
-            f"genus paths disagree: {path_a}, {path_b}, {path_c}, {path_d}"
-        )
+    if not (path_a == path_b == path_c):
+        raise PathsDisagree(f"genus paths disagree: {path_a}, {path_b}, {path_c}")
     if path_a.denominator != 1:
         raise NonIntegralGenus(
             f"bundle data {b} yields genus {path_a}; no such curve exists"
@@ -395,354 +392,3 @@ def genus_on_cone(degree: int, n: int) -> int:
     if pa < 0:
         raise NonIntegralGenus(f"inputs give negative genus {pa}")
     return pa
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One checked statement: item name, pass/fail/n-a status, and a short
-    human-readable detail line."""
-
-    item: str
-    status: str
-    detail: str
-
-
-def _finding(item: str, ok: bool | None, detail: str) -> Finding:
-    if ok is None:
-        return Finding(item, "n/a", detail)
-    return Finding(item, "pass" if ok else "fail", detail)
-
-
-def surface_scroll_report(
-    g: int,
-    g_prime: int,
-    eta: int,
-    mu: int,
-    gon: int,
-    gon_cprime: int,
-    structures,
-    kunz: bool | None = None,
-    almost_gorenstein: bool | None = None,
-    single_nongorenstein_point: bool | None = None,
-) -> list[Finding]:
-    """Check a non-Gorenstein curve record against the structural
-    constraints that hold when its canonical model lies on a surface
-    scroll.
-
-    `structures` lists the available scroll structures as (m, ell) pairs,
-    m being the smaller scroll dimension (m = 0 means a cone) and ell the
-    fiber degree of the canonical model.  A Gorenstein record (eta == 0),
-    a record of genus below 4, or an empty structure list yields
-    not-applicable findings throughout, never an error.
-    """
-    structures = [(int(m), int(ell)) for m, ell in structures]
-    findings: list[Finding] = []
-    if eta == 0 or g < 4 or not structures:
-        reason = (
-            "curve is Gorenstein"
-            if eta == 0
-            else ("genus below four" if g < 4 else "no surface structure")
-        )
-        items = (
-            "fiber-degree-bound",
-            "line-image-rational",
-            "conic-nearly-gorenstein",
-            "cubic-kunz-almost-gorenstein",
-            "cubic-dimension-bound",
-            "vertex-gonality",
-            "gonality-descent",
-            "directrix-gonality",
-            "image-genus-identity",
-            "fiber-degree-ceiling",
-        )
-        return [Finding(item, "n/a", reason) for item in items]
-
-    smooth = [(m, ell) for m, ell in structures if m > 0]
-    cones = [(m, ell) for m, ell in structures if m == 0]
-
-    ok = all(ell <= 3 for _, ell in smooth) and all(ell <= 2 for _, ell in cones)
-    findings.append(
-        _finding(
-            "fiber-degree-bound",
-            ok,
-            "ell <= 3 on smooth scrolls and ell <= 2 on cones",
-        )
-    )
-
-    lines = [s for s in smooth if s[1] == 1]
-    if lines:
-        findings.append(
-            _finding(
-                "line-image-rational",
-                g_prime == 0,
-                f"ell = 1 on a smooth scroll forces a rational image, g' = {g_prime}",
-            )
-        )
-    else:
-        findings.append(Finding("line-image-rational", "n/a", "no smooth structure with ell = 1"))
-
-    conic_smooth = [s for s in smooth if s[1] == 2]
-    conic_cone = [s for s in cones if s[1] == 2]
-    if conic_smooth or conic_cone:
-        ok = True
-        parts = []
-        if conic_smooth:
-            ok = ok and mu == 1
-            parts.append(f"smooth: mu = {mu}")
-        if conic_cone:
-            ok = ok and mu == 1 and g - g_prime <= 3
-            parts.append(f"cone: mu = {mu}, g - g' = {g - g_prime}")
-        findings.append(
-            _finding("conic-nearly-gorenstein", ok, "; ".join(parts))
-        )
-    else:
-        findings.append(Finding("conic-nearly-gorenstein", "n/a", "no structure with ell = 2"))
-
-    cubics = [s for s in smooth if s[1] == 3]
-    if cubics:
-        if kunz is None or almost_gorenstein is None:
-            findings.append(
-                Finding(
-                    "cubic-kunz-almost-gorenstein",
-                    "n/a",
-                    "needs the Kunz and almost-Gorenstein flags",
-                )
-            )
-        else:
-            findings.append(
-                _finding(
-                    "cubic-kunz-almost-gorenstein",
-                    kunz == almost_gorenstein,
-                    f"kunz = {kunz}, almost Gorenstein = {almost_gorenstein}",
-                )
-            )
-        ok = all(3 * m >= g - 3 for m, _ in cubics)
-        if ok and kunz is not None and single_nongorenstein_point is not None:
-            attained = any(3 * m == g - 3 for m, _ in cubics)
-            ok = attained == (kunz and single_nongorenstein_point)
-            detail = (
-                f"3m >= g - 3 with equality iff Kunz at a single point; "
-                f"equality {attained}, flags {kunz and single_nongorenstein_point}"
-            )
-        else:
-            detail = "3m >= g - 3"
-        findings.append(_finding("cubic-dimension-bound", ok, detail))
-    else:
-        findings.append(Finding("cubic-kunz-almost-gorenstein", "n/a", "no structure with ell = 3"))
-        findings.append(Finding("cubic-dimension-bound", "n/a", "no structure with ell = 3"))
-
-    vertex = [s for s in cones if g - g_prime == 3]
-    if vertex:
-        findings.append(
-            _finding(
-                "vertex-gonality",
-                gon <= 5,
-                f"cone structure with g - g' = 3 bounds the gonality by 5, got {gon}",
-            )
-        )
-    else:
-        findings.append(Finding("vertex-gonality", "n/a", "no cone structure with g - g' = 3"))
-
-    findings.append(
-        _finding(
-            "gonality-descent",
-            gon <= gon_cprime + g - g_prime,
-            f"gon(C) = {gon} <= gon(C') + g - g' = {gon_cprime + g - g_prime}",
-        )
-    )
-
-    if smooth:
-        ok = all(gon_cprime <= ell for _, ell in smooth)
-        findings.append(
-            _finding(
-                "directrix-gonality",
-                ok,
-                f"gon(C') = {gon_cprime} is at most the fiber degree of every smooth structure",
-            )
-        )
-        ok = True
-        for _, ell in smooth:
-            expected = (ell - 1) * ((1 - Fraction(g, 2)) * ell + 2 * g - eta - 3)
-            ok = ok and expected == g_prime
-        findings.append(
-            _finding(
-                "image-genus-identity",
-                ok,
-                "g' = (ell - 1)((1 - g/2) ell + 2g - eta - 3) for each smooth structure",
-            )
-        )
-    else:
-        findings.append(Finding("directrix-gonality", "n/a", "no smooth structure"))
-        findings.append(Finding("image-genus-identity", "n/a", "no smooth structure"))
-
-    if cones:
-        ok = all(
-            Fraction(ell) <= 1 + Fraction(g - eta, g - 2) for _, ell in cones
-        )
-        findings.append(
-            _finding(
-                "fiber-degree-ceiling",
-                ok,
-                "ell <= 1 + (g - eta)/(g - 2) on every cone structure",
-            )
-        )
-    else:
-        findings.append(Finding("fiber-degree-ceiling", "n/a", "no cone structure"))
-
-    return findings
-
-
-def threefold_bundle_report(
-    g: int,
-    eta: int,
-    mu: int,
-    ell: int,
-    u: int,
-    v: int,
-    g_prime: int | None = None,
-    nearly_gorenstein: bool | None = None,
-    kunz: bool | None = None,
-    single_nongorenstein_point: bool | None = None,
-    m_min: int | None = None,
-) -> list[Finding]:
-    """Check a non-Gorenstein curve record against the numerical
-    constraints on the rank-2 bundle resolving its canonical model on a
-    threefold scroll, where c1 = uH + vF and the model meets a fiber ell
-    times.
-
-    A Gorenstein record or one of genus at most 4 yields not-applicable
-    findings throughout.
-    """
-    findings: list[Finding] = []
-    if eta == 0 or g <= 4:
-        reason = "curve is Gorenstein" if eta == 0 else "needs genus at least 5"
-        return [Finding("chi-residual", "n/a", reason)]
-
-    residual = Fraction(
-        (u - 4) * (2 * g - 2 - eta) + eta + 2 * mu + ell * (v + g - 5)
-    )
-    if residual == 0:
-        detail = "(u - 4)(2g - 2 - eta) + eta + 2 mu + ell (v + g - 5) = 0"
-    else:
-        forced = -(g - 5) - Fraction((u - 4) * (2 * g - 2 - eta) + eta + 2 * mu, ell)
-        detail = f"residual {residual}; the chi balance forces v = {forced}"
-    findings.append(_finding("chi-residual", residual == 0, detail))
-
-    if ell == 1:
-        findings.append(
-            _finding(
-                "line-image-twist",
-                u == 2 and v == mu + 1,
-                f"ell = 1 needs u = 2 and v = mu + 1 = {mu + 1}, got u = {u}, v = {v}",
-            )
-        )
-        if g_prime is not None:
-            findings.append(
-                _finding(
-                    "line-image-rational",
-                    g_prime == 0,
-                    f"ell = 1 forces a rational image, g' = {g_prime}",
-                )
-            )
-        if nearly_gorenstein is not None:
-            findings.append(
-                _finding(
-                    "nearly-gorenstein-twist",
-                    nearly_gorenstein == (v == 2),
-                    f"nearly Gorenstein iff v = 2; v = {v}",
-                )
-            )
-    elif ell == 2:
-        findings.append(
-            _finding(
-                "conic-image-twist",
-                u == 3 and v == 4 - eta - mu,
-                f"ell = 2 needs u = 3 and v = 4 - eta - mu = {4 - eta - mu}, got u = {u}, v = {v}",
-            )
-        )
-        if nearly_gorenstein is not None:
-            findings.append(
-                _finding(
-                    "nearly-gorenstein-twist",
-                    nearly_gorenstein == (v == 3 - eta),
-                    f"nearly Gorenstein iff v = 3 - eta = {3 - eta}; v = {v}",
-                )
-            )
-        if kunz is not None:
-            findings.append(
-                _finding(
-                    "kunz-twist",
-                    kunz == (v == 2),
-                    f"Kunz iff v = 2; v = {v}",
-                )
-            )
-    elif ell == 3:
-        expected = -(g - 5) - Fraction(eta + 2 * mu, 3)
-        findings.append(
-            _finding(
-                "cubic-image-twist",
-                u == 4 and expected == v,
-                f"ell = 3 needs u = 4 and v = -(g - 5) - (eta + 2 mu)/3 = {expected}, got u = {u}, v = {v}",
-            )
-        )
-        if kunz is not None and single_nongorenstein_point is not None:
-            findings.append(
-                _finding(
-                    "kunz-single-point-twist",
-                    (kunz and single_nongorenstein_point) == (v == -(g - 4)),
-                    f"Kunz at a single point iff v = -(g - 4) = {-(g - 4)}; v = {v}",
-                )
-            )
-    elif ell == 4:
-        low = -(g - 5) - Fraction(eta + 2 * mu, 4)
-        high = -(g - 5) - Fraction(g - 1 + mu, 2)
-        forms = {4: low, 5: high}
-        expected = forms.get(u)
-        findings.append(
-            _finding(
-                "quartic-image-twist",
-                expected is not None and expected == v,
-                f"ell = 4 needs u in {{4, 5}} with v = {low} (u = 4) or v = {high} (u = 5), got u = {u}, v = {v}",
-            )
-        )
-        if u == 4:
-            if kunz is not None and single_nongorenstein_point is not None:
-                findings.append(
-                    _finding(
-                        "quartic-kunz-exclusion",
-                        not (kunz and single_nongorenstein_point),
-                        "a quartic image with u = 4 cannot be Kunz at a single point",
-                    )
-                )
-            if m_min is not None:
-                bound = Fraction(4 * (g - 5) + eta + 2 * mu, 16)
-                findings.append(
-                    _finding(
-                        "quartic-dimension-bound",
-                        Fraction(m_min) >= bound,
-                        f"m >= (4(g - 5) + eta + 2 mu)/16 = {bound}, got m = {m_min}",
-                    )
-                )
-    else:
-        if m_min is None:
-            findings.append(
-                Finding(
-                    "large-fiber-dimension-bound",
-                    "n/a",
-                    "needs the minimal scroll dimension m",
-                )
-            )
-        else:
-            # m >= [ell (g - 5) + (sqrt(2 ell) - 4)(2g - 2 - eta) + eta + 2 mu]
-            #      / (ell (ell + 1)), compared exactly by squaring
-            deg = 2 * g - 2 - eta
-            lhs = m_min * ell * (ell + 1) - ell * (g - 5) + 4 * deg - eta - 2 * mu
-            ok = lhs >= 0 and lhs * lhs >= 2 * ell * deg * deg
-            findings.append(
-                _finding(
-                    "large-fiber-dimension-bound",
-                    ok,
-                    f"m (ell)(ell + 1) clears the square-root bound at ell = {ell}",
-                )
-            )
-    return findings

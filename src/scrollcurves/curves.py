@@ -360,6 +360,14 @@ def gonality(curve: MonomialCurve) -> int:
     return gonality_pencil(curve)[0]
 
 
+def image_curve(canonical) -> MonomialCurve:
+    """The curve C' whose exponents are the nonzero canonical exponents
+    divided by their gcd (the fold of the canonical morphism); g' is its
+    genus.  The canonical set needs a nonzero entry, so genus 2 or more."""
+    fold = math.gcd(*canonical)
+    return make_curve(tuple(c // fold for c in canonical if c))
+
+
 LABELS = (
     ("gorenstein", "Gor"),
     ("nearly_normal", "NN"),
@@ -422,8 +430,7 @@ def analyze(curve: MonomialCurve) -> CurveAnalysis:
         if g == 1:
             g_prime = 0
         else:
-            divided = tuple(c // fold for c in canonical if c)
-            g_prime = make_curve(divided).genus
+            g_prime = image_curve(canonical).genus
             if fold == 1 and g != g_prime + eta + mu:
                 raise PathsDisagree(
                     f"genus split failed for {curve}: "

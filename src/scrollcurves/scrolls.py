@@ -252,24 +252,21 @@ def minor_check(values, blocks, step: int) -> bool:
     """Verify a proposed block structure by the rank-one matrix condition.
 
     The blocks must partition the value set (anything else raises
-    ValueError).  Each block of size two or more contributes the columns
-    (b[i], b[i+1]); the structure is genuine exactly when every column has
-    drop equal to the step and every 2 x 2 minor vanishes.
+    ValueError).  Each block of size two or more contributes the exponent
+    columns (t, u) = (b[i], b[i+1]) of a two-row matrix of monomials; the
+    structure is genuine exactly when every column has drop equal to the
+    step and every 2 x 2 minor vanishes, that is t_i + u_j = t_j + u_i.
+    Once every drop is the step each column is (t, t + step), so every
+    minor vanishes and the drop test alone decides.  No library route
+    calls this; the tests hold every structure `scroll_structures`
+    returns to it.
     """
     vals = sorted(set(int(v) for v in values))
     flat = sorted(x for b in blocks for x in b)
     if flat != vals:
         raise ValueError("blocks do not partition the value set")
-    columns: list[tuple[int, int]] = []
     for b in blocks:
         bs = sorted(b)
-        for i in range(len(bs) - 1):
-            if bs[i + 1] - bs[i] != step:
-                return False
-            columns.append((bs[i], bs[i + 1]))
-    for i in range(len(columns)):
-        ti, ui = columns[i]
-        for tj, uj in columns[i + 1 :]:
-            if ti + uj != tj + ui:
-                return False
+        if any(y - x != step for x, y in zip(bs, bs[1:])):
+            return False
     return True

@@ -4,11 +4,14 @@ The integer-coefficient ring and its closed forms over fixed denominators
 are held to the Fraction-dict ring they replaced, kept below as test-local
 copies (`ref_*`): hypothesis compares normal forms, products, both closed
 forms, both ring routes and the genus on random smooth scrolls.
-`test_chow_sympy.py` adds a symbolic third route.
+`test_chow_sympy.py` adds a symbolic third route.  The two scroll-statement
+reports of `scrollcurves.catalog`, which apply these formulas to a curve
+record, are tested at the end on real records.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,15 +38,16 @@ from scrollcurves.chow import (
     h0_class,
     hyperplane,
     pa_from_bundle,
-    surface_scroll_report,
-    threefold_bundle_report,
 )
+from scrollcurves.catalog import build_catalog, surface_scroll_report, threefold_bundle_report
+from scrollcurves.curves import analyze, make_curve
 from scrollcurves.errors import (
     NonIntegralGenus,
     NotTopDimensional,
     PathsDisagree,
     UnsupportedDimension,
 )
+from scrollcurves.scrolls import ScrollStructure, scroll_structures
 
 
 def split_bundle(a: int, b: int, c: int, d: int) -> RankTwoBundleClass:
@@ -497,25 +501,34 @@ class TestGenusFormulas:
             genus_on_cone(0, 3)
 
 
+def record_of(*exponents):
+    return analyze(make_curve(exponents))
+
+
+def statuses(findings):
+    return {f.item: f.status for f in findings}
+
+
 class TestSurfaceReport:
+    """`surface_scroll_report` on real curves, or on real records changed
+    with `dataclasses.replace` where no curve gives the case."""
+
     def test_gorenstein_all_not_applicable(self):
-        findings = surface_scroll_report(
-            g=5, g_prime=0, eta=0, mu=0, gon=2, gon_cprime=0, structures=[(1, 1)]
-        )
+        record = record_of(5, 6, 7, 8)
+        assert (record.genus, record.eta) == (5, 0)
+        assert scroll_structures(record.canonical, 2)
+        findings = surface_scroll_report(record)
         assert findings
         assert all(f.status == "n/a" for f in findings)
 
     def test_cone_conic_record(self):
-        findings = surface_scroll_report(
-            g=4,
-            g_prime=1,
-            eta=2,
-            mu=1,
-            gon=3,
-            gon_cprime=2,
-            structures=[(0, 1), (0, 2)],
-        )
-        by_item = {f.item: f.status for f in findings}
+        record = record_of(4, 6, 7, 8, 9)
+        assert (record.genus, record.g_prime, record.eta, record.mu) == (4, 1, 2, 1)
+        assert [(s.m_min, s.ell) for s in scroll_structures(record.canonical, 2)] == [
+            (0, 1),
+            (0, 2),
+        ]
+        by_item = statuses(surface_scroll_report(record))
         assert by_item["fiber-degree-bound"] == "pass"
         assert by_item["conic-nearly-gorenstein"] == "pass"
         assert by_item["vertex-gonality"] == "pass"
@@ -524,159 +537,171 @@ class TestSurfaceReport:
         assert by_item["image-genus-identity"] == "n/a"
 
     def test_smooth_conic_identity(self):
-        findings = surface_scroll_report(
-            g=5,
-            g_prime=1,
-            eta=3,
-            mu=1,
-            gon=3,
-            gon_cprime=2,
-            structures=[(1, 2)],
-        )
-        by_item = {f.item: f.status for f in findings}
+        record = record_of(5, 6, 7, 8, 9)
+        assert (record.genus, record.g_prime, record.eta, record.mu) == (4, 0, 3, 1)
+        assert (1, 2) in {(s.m_min, s.ell) for s in scroll_structures(record.canonical, 2)}
+        by_item = statuses(surface_scroll_report(record))
         assert by_item["image-genus-identity"] == "pass"
         assert by_item["conic-nearly-gorenstein"] == "pass"
         assert by_item["directrix-gonality"] == "pass"
 
     def test_image_genus_identity_fails_on_wrong_g_prime(self):
-        findings = surface_scroll_report(
-            g=5,
-            g_prime=2,
-            eta=3,
-            mu=1,
-            gon=3,
-            gon_cprime=2,
-            structures=[(1, 2)],
-        )
-        by_item = {f.item: f.status for f in findings}
+        record = replace(record_of(5, 6, 7, 8, 9), g_prime=1)
+        by_item = statuses(surface_scroll_report(record))
         assert by_item["image-genus-identity"] == "fail"
+        assert by_item["line-image-rational"] == "fail"
+        # mu = 1 still holds, so the conic item does not depend on g'
+        assert by_item["conic-nearly-gorenstein"] == "pass"
 
     def test_fiber_bound_fails_on_quartic_fiber(self):
-        findings = surface_scroll_report(
-            g=6, g_prime=0, eta=2, mu=1, gon=4, gon_cprime=1, structures=[(1, 4)]
-        )
-        by_item = {f.item: f.status for f in findings}
+        # the step-4 runs (0, 4, 8) and (1, 5, 9) of a gcd-1 set sweep a
+        # quartic fiber on the smooth scroll S(2, 2)
+        record = replace(record_of(3, 8, 12, 13), canonical=(0, 1, 4, 5, 8, 9))
+        assert [(s.m_min, s.ell) for s in scroll_structures(record.canonical, 2)] == [(2, 4)]
+        by_item = statuses(surface_scroll_report(record))
         assert by_item["fiber-degree-bound"] == "fail"
 
     def test_cubic_items_use_flags(self):
-        findings = surface_scroll_report(
-            g=6,
-            g_prime=0,
-            eta=1,
-            mu=1,
-            gon=4,
-            gon_cprime=1,
-            structures=[(1, 3)],
-            kunz=True,
-            almost_gorenstein=True,
-            single_nongorenstein_point=True,
-        )
-        by_item = {f.item: f.status for f in findings}
+        record = record_of(3, 8, 12, 13)
+        assert (record.genus, record.eta, record.mu, record.eta_branches) == (6, 1, 1, (1, 0))
+        assert record.flags["kunz"] and record.flags["almost_gorenstein"]
+        assert [(s.m_min, s.ell) for s in scroll_structures(record.canonical, 2)] == [(1, 3)]
+        findings = surface_scroll_report(record)
+        by_item = statuses(findings)
         assert by_item["cubic-kunz-almost-gorenstein"] == "pass"
         assert by_item["cubic-dimension-bound"] == "pass"
+        # gon(C') = 3, the gonality of `image_curve(record.canonical)`
+        descent = next(f for f in findings if f.item == "gonality-descent")
+        assert descent.detail == "gon(C) = 3 <= gon(C') + g - g' = 5"
+        # 3m = g - 3 is attained, so the bound needs Kunz at a single point
+        by_item = statuses(
+            surface_scroll_report(replace(record, flags={**record.flags, "kunz": False}))
+        )
+        assert by_item["cubic-kunz-almost-gorenstein"] == "fail"
+        assert by_item["cubic-dimension-bound"] == "fail"
+        by_item = statuses(surface_scroll_report(replace(record, eta_branches=(1, 1))))
+        assert by_item["cubic-kunz-almost-gorenstein"] == "pass"
+        assert by_item["cubic-dimension-bound"] == "fail"
 
     def test_low_genus_not_applicable(self):
-        findings = surface_scroll_report(
-            g=3, g_prime=0, eta=1, mu=1, gon=2, gon_cprime=1, structures=[(1, 1)]
-        )
-        assert all(f.status == "n/a" for f in findings)
+        rows = build_catalog([3], non_gorenstein=True)
+        assert rows
+        for row in rows:
+            assert all(f.status == "n/a" for f in surface_scroll_report(row))
+
+
+def block_structure(step, *blocks):
+    """A hand-built structure on a gcd-1 set, so ell is the step."""
+    return ScrollStructure(step, blocks, 1)
 
 
 class TestThreefoldReport:
+    """`threefold_bundle_report` on real records with threefold structures
+    of their canonical models, or hand-built structures where no real
+    curve gives the fiber degree or scroll dimension."""
+
     def test_gorenstein_not_applicable(self):
-        findings = threefold_bundle_report(g=6, eta=0, mu=0, ell=1, u=2, v=2)
+        record = record_of(3, 6, 7)
+        assert (record.genus, record.eta) == (6, 0)
+        structure = scroll_structures(record.canonical, 3)[0]
+        findings = threefold_bundle_report(record, structure, 2, 2)
+        assert findings
         assert all(f.status == "n/a" for f in findings)
 
     def test_line_image_record(self):
-        findings = threefold_bundle_report(
-            g=5,
-            eta=4,
-            mu=1,
-            ell=1,
-            u=2,
-            v=2,
-            g_prime=0,
-            nearly_gorenstein=True,
-        )
-        by_item = {f.item: f.status for f in findings}
+        record = record_of(6, 7, 8, 9, 10, 11)
+        assert (record.genus, record.g_prime, record.eta, record.mu) == (5, 0, 4, 1)
+        structure = scroll_structures(record.canonical, 3)[0]
+        assert structure.ell == 1
+        by_item = statuses(threefold_bundle_report(record, structure, 2, 2))
         assert by_item["chi-residual"] == "pass"
         assert by_item["line-image-twist"] == "pass"
         assert by_item["line-image-rational"] == "pass"
         assert by_item["nearly-gorenstein-twist"] == "pass"
+        bent = replace(record, g_prime=1, flags={**record.flags, "nearly_gorenstein": False})
+        by_item = statuses(threefold_bundle_report(bent, structure, 2, 2))
+        assert by_item["line-image-rational"] == "fail"
+        assert by_item["nearly-gorenstein-twist"] == "fail"
 
     def test_residual_reports_forced_twist(self):
-        findings = threefold_bundle_report(g=5, eta=4, mu=1, ell=1, u=2, v=7)
+        record = record_of(6, 7, 8, 9, 10, 11)
+        structure = scroll_structures(record.canonical, 3)[0]
+        findings = threefold_bundle_report(record, structure, 2, 7)
         residual = next(f for f in findings if f.item == "chi-residual")
         assert residual.status == "fail"
         assert "forces v = 2" in residual.detail
+        assert statuses(findings)["line-image-twist"] == "fail"
 
     def test_conic_image_record(self):
-        findings = threefold_bundle_report(
-            g=6,
-            eta=2,
-            mu=1,
-            ell=2,
-            u=3,
-            v=1,
-            nearly_gorenstein=True,
-            kunz=False,
-        )
-        by_item = {f.item: f.status for f in findings}
+        record = record_of(4, 6, 11, 12, 13)
+        assert (record.genus, record.eta, record.mu) == (6, 2, 1)
+        assert not record.flags["kunz"] and record.flags["nearly_gorenstein"]
+        structure = next(s for s in scroll_structures(record.canonical, 3) if s.ell == 2)
+        by_item = statuses(threefold_bundle_report(record, structure, 3, 1))
         assert by_item["chi-residual"] == "pass"
         assert by_item["conic-image-twist"] == "pass"
         assert by_item["nearly-gorenstein-twist"] == "pass"
         assert by_item["kunz-twist"] == "pass"
+        by_item = statuses(
+            threefold_bundle_report(
+                replace(record, flags={**record.flags, "kunz": True}), structure, 3, 1
+            )
+        )
+        assert by_item["kunz-twist"] == "fail"
 
     def test_cubic_image_record(self):
         # eta + 2 mu = 3 with eta = mu = 1 gives v = -(g - 4)
-        findings = threefold_bundle_report(
-            g=7,
-            eta=1,
-            mu=1,
-            ell=3,
-            u=4,
-            v=-3,
-            kunz=True,
-            single_nongorenstein_point=True,
-        )
-        by_item = {f.item: f.status for f in findings}
+        record = record_of(3, 8, 12, 13)
+        assert (record.genus, record.eta, record.mu, record.eta_branches) == (6, 1, 1, (1, 0))
+        assert record.flags["kunz"]
+        structure = next(s for s in scroll_structures(record.canonical, 3) if s.ell == 3)
+        by_item = statuses(threefold_bundle_report(record, structure, 4, -2))
         assert by_item["chi-residual"] == "pass"
         assert by_item["cubic-image-twist"] == "pass"
         assert by_item["kunz-single-point-twist"] == "pass"
+        by_item = statuses(
+            threefold_bundle_report(replace(record, eta_branches=(1, 1)), structure, 4, -2)
+        )
+        assert by_item["kunz-single-point-twist"] == "fail"
 
     def test_quartic_quintic_twist(self):
-        findings = threefold_bundle_report(g=8, eta=2, mu=1, ell=4, u=5, v=-7)
-        by_item = {f.item: f.status for f in findings}
+        record = record_of(4, 10, 11, 16, 17)
+        assert (record.genus, record.eta, record.mu) == (8, 2, 1)
+        structure = next(s for s in scroll_structures(record.canonical, 3) if s.ell == 4)
+        by_item = statuses(threefold_bundle_report(record, structure, 5, -7))
         assert by_item["chi-residual"] == "pass"
         assert by_item["quartic-image-twist"] == "pass"
+        assert "quartic-kunz-exclusion" not in by_item
+        assert statuses(threefold_bundle_report(record, structure, 6, -7))[
+            "quartic-image-twist"
+        ] == "fail"
 
     def test_quartic_even_twist(self):
-        findings = threefold_bundle_report(
-            g=8,
-            eta=2,
-            mu=1,
-            ell=4,
-            u=4,
-            v=-4,
-            kunz=False,
-            single_nongorenstein_point=False,
-            m_min=1,
-        )
-        by_item = {f.item: f.status for f in findings}
+        record = record_of(4, 10, 11, 16, 17)
+        assert not record.flags["kunz"]
+        structure = next(s for s in scroll_structures(record.canonical, 3) if s.ell == 4)
+        assert structure.m_min == 1
+        by_item = statuses(threefold_bundle_report(record, structure, 4, -4))
         assert by_item["chi-residual"] == "pass"
         assert by_item["quartic-image-twist"] == "pass"
         assert by_item["quartic-kunz-exclusion"] == "pass"
         assert by_item["quartic-dimension-bound"] == "pass"
+        cone = block_structure(4, (0, 4, 8, 12), (6,), (7, 11))
+        by_item = statuses(threefold_bundle_report(record, cone, 4, -4))
+        assert by_item["quartic-dimension-bound"] == "fail"
+        kunz = replace(record, flags={**record.flags, "kunz": True})
+        by_item = statuses(threefold_bundle_report(kunz, structure, 4, -4))
+        assert by_item["quartic-kunz-exclusion"] == "fail"
 
     def test_large_fiber_bound(self):
         # ell = 5: lhs = 30 m - 5(g - 5) + 4 deg - eta - 2 mu vs sqrt(10) deg
-        findings = threefold_bundle_report(
-            g=6, eta=2, mu=1, ell=5, u=4, v=-2, m_min=3
-        )
-        by_item = {f.item: f.status for f in findings}
+        record = record_of(4, 6, 11, 12, 13)
+        assert (record.genus, record.eta, record.mu) == (6, 2, 1)
+        wide = block_structure(5, (0, 5, 10, 15), (1, 6, 11, 16), (2, 7, 12, 17))
+        assert (wide.ell, wide.m_min) == (5, 3)
+        by_item = statuses(threefold_bundle_report(record, wide, 4, -2))
         assert by_item["large-fiber-dimension-bound"] == "pass"
-        findings = threefold_bundle_report(
-            g=6, eta=2, mu=1, ell=5, u=4, v=-2, m_min=0
-        )
-        by_item = {f.item: f.status for f in findings}
+        cone = block_structure(5, (0,), (1, 6, 11, 16), (2, 7, 12, 17))
+        assert (cone.ell, cone.m_min) == (5, 0)
+        by_item = statuses(threefold_bundle_report(record, cone, 4, -2))
         assert by_item["large-fiber-dimension-bound"] == "fail"

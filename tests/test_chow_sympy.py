@@ -26,6 +26,7 @@ from scrollcurves.chow import (
     _bundle_chi_dual_fraction,
     _chi_closed_form,
     euler_characteristic_chow,
+    pa_from_bundle,
 )
 
 h, f, e, u, v, w, z, H, F = sp.symbols("h f e u v w z H F")
@@ -117,3 +118,26 @@ class TestSympyRoute:
                 amb = Ambient.balanced(3, degree)
                 expected = value(*point, degree)
                 assert _bundle_chi_dual_fraction(amb, RankTwoBundleClass(*point)) == expected
+
+    def test_bundle_genus_linear_form(self):
+        """The genus of `pa_from_bundle` is the form linear in the curve
+        degree we + z and the fiber count w, on a threefold scroll spanning
+        P^n with n = e + 2: its expanded closed form equals the form
+        symbolically, so does the resolution route chi(E^dual) -
+        chi(det E^dual) in sympy, and the library agrees on a grid."""
+        n = e + 2
+        linear = 1 + ((u - 3) * (w * e + z) + w * (v + n - 4)) / 2
+        expanded = 1 + ((e * (u - 2) + v - 2) * w + (u - 3) * z) / 2
+        assert sp.expand(expanded - linear) == 0
+        resolution = symbolic_bundle_chi_dual() - symbolic_chi(3).subs({h: -u, f: -v})
+        assert sp.expand(resolution - linear) == 0
+        value = evaluator(sp.expand(linear), (u, v, w, z, e))
+        checked = 0
+        for point in product(range(-1, 4), repeat=4):
+            for degree in range(3, 6):
+                expected = value(*point, degree)
+                if expected.denominator == 1:
+                    amb = Ambient.balanced(3, degree)
+                    assert pa_from_bundle(amb, RankTwoBundleClass(*point)) == expected
+                    checked += 1
+        assert checked > 0

@@ -1,9 +1,13 @@
-"""Stale imports and exports in the package, found with the stdlib `ast`.
+"""Stale imports and exports in the package, and its layering, found with
+the stdlib `ast`.
 
 Every name a module of `scrollcurves` imports must be used in that
 module, and the package's `__init__` must export exactly what it imports
 through `__all__`, each name of which resolves on the package.  Deleting
-a function or a type tends to leave such names behind.
+a function or a type tends to leave such names behind.  The modules form
+one order (`LAYERS`), and each imports only package modules before it;
+the intersection theory of `chow` imports nothing of the package but its
+errors.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import scrollcurves
 
 PACKAGE = Path(scrollcurves.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+LAYERS = ("errors", "fixtures", "semigroups", "curves", "chow", "scrolls", "catalog", "cli")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -70,3 +75,27 @@ def test_init_exports_what_it_imports():
     assert sorted(set(imported) - set(exported)) == []
     missing = [name for name in exported if not hasattr(scrollcurves, name)]
     assert missing == []
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports; inside the package every
+    import of its own modules is relative."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            modules.update([node.module] if node.module else [a.name for a in node.names])
+    return modules
+
+
+def test_layers_name_every_module():
+    assert sorted(LAYERS) == [p.stem for p in MODULES]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_follow_the_layers(path):
+    rank = LAYERS.index(path.stem)
+    imported = _package_imports(_tree(path))
+    later = sorted(m for m in imported if LAYERS.index(m) >= rank)
+    assert not later, f"{path.name} imports {later}, at or above its layer"
+    if path.stem == "chow":
+        assert imported <= {"errors"}
