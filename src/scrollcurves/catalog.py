@@ -1,12 +1,12 @@
 """Catalog construction, fixture audits, and output rendering.
 
 The catalog enumerates monomial curves by genus (one row per numerical
-semigroup in one-singular-point mode, one row per bundled exponent tuple
-in two-point mode), computes every invariant from scratch, and checks the
-structural identities on each row as it is built.  The audit recomputes a
-bundled reference table and reports, row by row, whether the recorded
-values agree with the computed ones.  Rendering produces deterministic
-JSON, CSV, or markdown for catalog rows and markdown for audit reports.
+semigroup, on a curve singular at a single point), computes every
+invariant from scratch, and checks the structural identities on each row
+as it is built.  The audit recomputes a bundled reference table and
+reports, row by row, whether the recorded values agree with the computed
+ones.  Rendering produces deterministic JSON, CSV, or markdown for
+catalog rows and markdown for audit reports.
 
 Every check of the paper's statements on a curve record lives here:
 `check_scroll_correspondence` holds the gonality-scroll theorem on each
@@ -38,10 +38,10 @@ from .curves import (
     representative_curve,
     verify_dualizing_candidate,
 )
-from .errors import BoundExceeded, PathsDisagree
+from .errors import PathsDisagree
 from .fixtures import FixtureRow, fixture
 from .scrolls import ScrollStructure, scroll_structures
-from .semigroups import DEFAULT_GENUS_BOUND, enumerate_genus
+from .semigroups import enumerate_genus
 
 
 @dataclass(frozen=True)
@@ -471,46 +471,26 @@ def row_for_curve(curve: MonomialCurve) -> CatalogRow:
 
 
 def build_catalog(
-    genus_range,
-    non_gorenstein: bool = False,
-    scroll_dim: int | None = None,
-    singular_points: int = 1,
+    genus_range, non_gorenstein: bool = False, scroll_dim: int | None = None
 ) -> list[CatalogRow]:
     """All catalog rows for the given genera, in deterministic order.
 
-    One-singular-point mode enumerates every numerical semigroup of each
-    genus and takes its representative curve; two-point mode walks the
-    bundled two-point exponent tuples instead, since those curves do not
-    admit a bounded exhaustive enumeration.  `scroll_dim` keeps only rows
-    whose canonical model needs a scroll of exactly that dimension, and
-    row structures are computed at that dimension.  The filters run
-    cheapest first, the scroll structures at the minimum dimension (whose
-    block count is that dimension) before `analyze`, and every invariant
-    of a kept row is computed once.
+    Every numerical semigroup of each genus is enumerated and taken to its
+    representative curve, singular at t = 0 alone; `enumerate_genus`
+    rejects a negative genus, or one past its bound, as the walk reaches
+    it.  `scroll_dim` keeps only rows whose canonical model needs a scroll
+    of exactly that dimension, and row structures are computed at that
+    dimension.  The filters run cheapest first, the scroll structures at
+    the minimum dimension (whose block count is that dimension) before
+    `analyze`, and every invariant of a kept row is computed once.
     """
-    genera = sorted({int(g) for g in genus_range})
-    if genera and genera[-1] > DEFAULT_GENUS_BOUND:
-        raise BoundExceeded(
-            f"genus {genera[-1]} is past the enumeration bound {DEFAULT_GENUS_BOUND}"
-        )
-    if genera and genera[0] < 0:
-        raise ValueError("genus must be nonnegative")
     curves: dict[tuple[int, ...], MonomialCurve] = {}
-    if singular_points == 1:
-        for g in genera:
-            if g == 0:
-                continue
-            for semigroup in enumerate_genus(g):
-                curve = representative_curve(semigroup)
-                curves[curve.exponents] = curve
-    elif singular_points == 2:
-        for name in ("twopoint-g4", "twopoint-g5"):
-            for fixture_row in fixture(name):
-                curve = make_curve(fixture_row.exponents)
-                if curve.genus in genera:
-                    curves[curve.exponents] = curve
-    else:
-        raise ValueError("singular_points must be 1 or 2")
+    for g in genus_range:
+        if g == 0:
+            continue
+        for semigroup in enumerate_genus(g):
+            curve = representative_curve(semigroup)
+            curves[curve.exponents] = curve
 
     rows = []
     for curve in curves.values():

@@ -5,8 +5,9 @@ scrolls inspect a single curve given by its exponents; catalog enumerates
 curves by genus; audit recomputes a bundled reference table; formula
 evaluates the intersection-theoretic closed forms directly.
 
-Exit codes: 0 success, 1 usage error, 2 validation error (bad domain
-input), 3 audit discrepancy under --strict.
+Exit codes: 0 success, 1 usage error (a malformed command line, or an
+--out file that cannot be written), 2 validation error (bad domain input),
+3 audit discrepancy under --strict.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .catalog import (
 )
 from .chow import Ambient, DivisorClass, RankTwoBundleClass, euler_characteristic, pa_from_bundle
 from .curves import SCHUR_BOUND_LIMIT, canonical_exponents, gonality, make_curve
-from .errors import BoundExceeded, ScrollCurvesError
+from .errors import BoundExceeded, ScrollCurvesError, UnsupportedDimension
 from .fixtures import fixture_names
 from .scrolls import SPLIT_LIMIT, min_scroll_dimension, scroll_structures, split_count
 
@@ -143,6 +144,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_formula_chi(args) -> int:
+    # refused before the scroll, whose type has d entries, is built
+    if args.d not in (2, 3):
+        raise UnsupportedDimension(f"closed-form chi needs d in {{2, 3}}, got d={args.d}")
     ambient = Ambient.balanced(args.d, args.e)
     print(euler_characteristic(ambient, DivisorClass(args.h, args.f)))
     return 0
@@ -260,6 +264,9 @@ def main(argv=None) -> int:
     except (ScrollCurvesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def run() -> None:

@@ -18,21 +18,19 @@ from .errors import (
     GcdNotOne,
     GenusZero,
     NotIncreasing,
-    NotUnibranchSingle,
     PathsDisagree,
     ZeroExponent,
 )
 from .semigroups import (
     NumericalSemigroup,
     eta_local,
-    kappa_sets,
     make_semigroup,
     mu_local,
     reverse_bits,
     set_bits,
 )
 
-NATURALS = NumericalSemigroup.from_gap_mask(0)
+NATURALS = NumericalSemigroup(0)
 
 
 class MonomialCurve:
@@ -68,17 +66,9 @@ class MonomialCurve:
         return self._s_infinity
 
     @property
-    def delta_zero(self) -> int:
-        return self.s_zero.delta
-
-    @property
-    def delta_infinity(self) -> int:
-        return self.s_infinity.delta
-
-    @property
     def genus(self) -> int:
         """Arithmetic genus: the two local gap counts add up."""
-        return self.delta_zero + self.delta_infinity
+        return self.s_zero.delta + self.s_infinity.delta
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialCurve):
@@ -394,7 +384,6 @@ class CurveAnalysis:
     canonical: tuple[int, ...]
     flags: dict
     eta_branches: tuple[int, int]
-    mu_branches: tuple[int, int]
 
     @property
     def label(self) -> str:
@@ -454,23 +443,4 @@ def analyze(curve: MonomialCurve) -> CurveAnalysis:
         canonical=canonical,
         flags=flags,
         eta_branches=eta_b,
-        mu_branches=mu_b,
     )
-
-
-def _singular_branch_dual(curve: MonomialCurve) -> tuple[int, ...]:
-    if curve.genus == 0:
-        raise GenusZero(f"{curve} has genus 0")
-    d0, di = curve.delta_zero, curve.delta_infinity
-    if d0 > 0 and di > 0:
-        raise NotUnibranchSingle(
-            f"{curve} is singular at both points; no preferred orientation"
-        )
-    s = curve.s_zero if d0 > 0 else curve.s_infinity
-    return kappa_sets(s)
-
-
-def isomorphic_via_canonical(a: MonomialCurve, b: MonomialCurve) -> bool:
-    """Whether two curves, each singular at a single point, have the same
-    canonical model up to the ambient parameter flip."""
-    return equal_up_to_reversal(_singular_branch_dual(a), _singular_branch_dual(b))

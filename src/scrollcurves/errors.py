@@ -31,10 +31,6 @@ class GenusZero(ScrollCurvesError):
     """The canonical linear series is empty for genus zero."""
 
 
-class NotUnibranchSingle(ScrollCurvesError):
-    """Canonical-model comparison needs exactly one singular branch."""
-
-
 class NotAValidKappaStar(ScrollCurvesError):
     """A finite set that cannot arise as K* of any numerical semigroup."""
 

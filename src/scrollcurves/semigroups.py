@@ -96,34 +96,21 @@ class NumericalSemigroup:
         Frobenius number, the largest gap (-1 when there are no gaps).
     delta : int
         Genus, the number of gaps: the popcount of the mask.
-    generators : tuple of int
-        The generating set the object was built from; when built from gaps
-        alone this is the minimal generating set.
-    gaps, elements_below_conductor : tuple of int
-        Views of the mask, built on each use.
+    gaps, minimal_generators : tuple of int
+        Views of the mask, built on each use; repr lists the minimal
+        generators.
     """
 
-    __slots__ = ("gap_mask", "alpha", "beta", "gamma", "delta", "_generators")
+    __slots__ = ("gap_mask", "alpha", "beta", "gamma", "delta")
 
-    def __init__(self, gaps, generators=None):
-        self._store(bitmask(gaps), generators)
-
-    @classmethod
-    def from_gap_mask(cls, mask: int, generators=None) -> NumericalSemigroup:
-        """The semigroup whose gaps are the set bits of mask (bit 0 clear)."""
-        out = cls.__new__(cls)
-        out._store(mask, generators)
-        return out
-
-    def _store(self, mask: int, generators) -> None:
-        self.gap_mask = mask
-        self.beta = mask.bit_length()
+    def __init__(self, gap_mask: int):
+        self.gap_mask = gap_mask
+        self.beta = gap_mask.bit_length()
         self.gamma = self.beta - 1
-        self.delta = mask.bit_count()
+        self.delta = gap_mask.bit_count()
         # 1, ..., alpha - 1 are gaps, so adding 1 to mask | 1 carries to alpha
-        low = mask | 1
+        low = gap_mask | 1
         self.alpha = (~low & (low + 1)).bit_length() - 1
-        self._generators = None if generators is None else tuple(generators)
 
     def __contains__(self, x: int) -> bool:
         return x >= 0 and not (self.gap_mask >> x) & 1
@@ -137,22 +124,13 @@ class NumericalSemigroup:
         return hash(self.gap_mask)
 
     def __repr__(self) -> str:
-        inside = ", ".join(str(g) for g in self.generators)
+        inside = ", ".join(str(g) for g in self.minimal_generators)
         return f"NumericalSemigroup<{inside}>"
-
-    @property
-    def generators(self) -> tuple[int, ...]:
-        return self.minimal_generators if self._generators is None else self._generators
 
     @property
     def gaps(self) -> tuple[int, ...]:
         """The gaps, sorted."""
         return set_bits(self.gap_mask)
-
-    @property
-    def elements_below_conductor(self) -> tuple[int, ...]:
-        """Every element up to and including the conductor, sorted."""
-        return set_bits(~self.gap_mask & ((2 << self.beta) - 1))
 
     @property
     def minimal_generators(self) -> tuple[int, ...]:
@@ -209,7 +187,7 @@ def make_semigroup(generators) -> NumericalSemigroup:
             recent = recent << 1 & keep
             gaps.append(i)
             run = 0
-    return NumericalSemigroup.from_gap_mask(bitmask(gaps), gens)
+    return NumericalSemigroup(bitmask(gaps))
 
 
 def semigroup_from_gaps(gaps) -> NumericalSemigroup:
@@ -223,7 +201,7 @@ def semigroup_from_gaps(gaps) -> NumericalSemigroup:
     gap_list = sorted(set(gaps))
     if gap_list and gap_list[0] < 1:
         raise ValueError("gaps must be positive integers")
-    s = NumericalSemigroup(gap_list)
+    s = NumericalSemigroup(bitmask(gap_list))
     elements = ~s.gap_mask & ((1 << s.beta) - 1) & -2
     for a in set_bits(elements):
         hit = elements >> a << 2 * a & s.gap_mask
@@ -283,19 +261,17 @@ def mu_local(s: NumericalSemigroup) -> MuData:
     from the nonzero elements of K below beta and beta, ..., beta + alpha
     - 1 (alpha lies in S, hence in K, and reaches the rest).  A symmetric
     semigroup (2 delta = beta) has K = S, so <K> = S and mu = 0 with no
-    sieve.  <K> is returned by its gap mask alone, so it reports its minimal
-    generators, not the ones it was sieved or given with.
+    sieve.
 
     >>> data = mu_local(make_semigroup((4, 5, 7)))
     >>> data.mu, data.closure.gaps
     (1, (1, 2))
     """
     if 2 * s.delta == s.beta:
-        mask = s.gap_mask
+        closure = s
     else:
         nonzero = reverse_bits(s.gap_mask, s.beta) & -2
-        mask = make_semigroup(set_bits(nonzero) + tuple(range(s.beta, s.beta + s.alpha))).gap_mask
-    closure = NumericalSemigroup.from_gap_mask(mask)
+        closure = make_semigroup(set_bits(nonzero) + tuple(range(s.beta, s.beta + s.alpha)))
     return MuData(s.beta - s.delta - closure.delta, closure)
 
 
@@ -306,12 +282,12 @@ def recover_from_kappa_star(values) -> NumericalSemigroup:
     set must contain 0 and its mirror must leave an additively closed
     complement; anything else raises NotAValidKappaStar.
 
-    >>> recover_from_kappa_star((0, 3, 4, 5)).generators
-    (4, 5, 7)
+    >>> recover_from_kappa_star((0, 3, 4, 5))
+    NumericalSemigroup<4, 5, 7>
     """
     vals = sorted(set(values))
     if not vals:
-        return NumericalSemigroup(())
+        return NumericalSemigroup(0)
     if vals[0] != 0:
         raise NotAValidKappaStar("the finite dual part must contain 0")
     gamma = vals[-1] + 1
@@ -339,21 +315,23 @@ def _genus_level(genus: int) -> tuple[int, ...]:
     level = [
         mask | 1 << n
         for mask in _genus_level(genus - 1)
-        for n in NumericalSemigroup.from_gap_mask(mask).minimal_generators
+        for n in NumericalSemigroup(mask).minimal_generators
         if n >= mask.bit_length()
     ]
     return tuple(sorted(level, key=lambda m: reverse_bits(m, 2 * genus), reverse=True))
 
 
-def enumerate_genus(genus: int, bound: int = DEFAULT_GENUS_BOUND) -> list[NumericalSemigroup]:
+def enumerate_genus(genus: int) -> list[NumericalSemigroup]:
     """Every numerical semigroup with exactly `genus` gaps, in lexicographic
     order of gap tuples.
 
-    The bound guards against accidental huge sweeps; pass a larger value
-    deliberately to go beyond it.
+    Genera past DEFAULT_GENUS_BOUND raise BoundExceeded, which guards
+    against accidental huge sweeps.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
-    if genus > bound:
-        raise BoundExceeded(f"genus {genus} exceeds the configured bound {bound}")
-    return [NumericalSemigroup.from_gap_mask(mask) for mask in _genus_level(genus)]
+    if genus > DEFAULT_GENUS_BOUND:
+        raise BoundExceeded(
+            f"genus {genus} exceeds the enumeration bound {DEFAULT_GENUS_BOUND}"
+        )
+    return [NumericalSemigroup(mask) for mask in _genus_level(genus)]

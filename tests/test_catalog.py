@@ -149,17 +149,20 @@ class TestBuildCatalog:
             if row.expect_flag is None:
                 assert make_curve(row.exponents).s_zero in semigroups
 
-    def test_two_point_mode(self):
-        rows = build_catalog([4, 5], singular_points=2)
-        assert len(rows) == 11
-        assert all(r.gonality == 3 for r in rows)
-        genera = sorted(r.genus for r in rows)
-        assert genera == [4] * 4 + [5] * 7
-        assert sum(1 for r in rows if r.exponents == (2, 3, 4, 5, 9)) == 1
-
-    def test_two_point_single_genus(self):
-        rows = build_catalog([5], singular_points=2)
-        assert len(rows) == 7
+    def test_two_point_fixture_rows(self):
+        """The catalog enumerates curves singular at t = 0 alone, so the
+        twopoint tables are the only curves singular at both points whose
+        rows run the dualizing check and the scroll correspondence."""
+        curves = [
+            make_curve(r.exponents) for name in ("twopoint-g4", "twopoint-g5")
+            for r in fixture(name)
+        ]
+        assert all(c.s_zero.delta and c.s_infinity.delta for c in curves)
+        rows = [row_for_curve(c) for c in curves]
+        assert len(rows) == 12
+        assert all(r.gonality == 3 and len(r.structures[0].blocks) == 2 for r in rows)
+        # (2, 3, 4, 5, 9) is listed in both tables, flagged in twopoint-g5
+        assert sorted(r.genus for r in rows) == [4] * 5 + [5] * 7
 
     def test_range_input(self):
         assert build_catalog(range(4, 6)) == build_catalog([4, 5])
@@ -168,11 +171,17 @@ class TestBuildCatalog:
         with pytest.raises(BoundExceeded):
             build_catalog([40])
 
+    def test_walk_stops_at_the_first_genus_past_the_bound(self):
+        def genera():
+            yield from (4, 17)
+            raise AssertionError("the walk read past the first genus over the bound")
+
+        with pytest.raises(BoundExceeded, match="genus 17 exceeds"):
+            build_catalog(genera())
+
     def test_validation(self):
         with pytest.raises(ValueError):
             build_catalog([-1])
-        with pytest.raises(ValueError):
-            build_catalog([4], singular_points=3)
 
 
 class TestRender:

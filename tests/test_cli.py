@@ -225,6 +225,20 @@ class TestCatalog:
         assert out == ""
         assert len(json.loads(target.read_text())) == 7
 
+    def test_unwritable_out_file_is_one_error_line(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "rows.json"
+        code, out, err = run_cli(
+            "catalog", "--genus", "4", "--out", str(target), capsys=capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
+    def test_genus_range_stops_at_the_bound(self, capsys):
+        code, out, err = run_cli("catalog", "--genus", "17..100000", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: genus 17 exceeds the enumeration bound 16\n"
+
 
 class TestAudit:
     def test_clean_table(self, capsys):
@@ -292,6 +306,16 @@ class TestFormula:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("d", ["1", "1000000000"])
+    def test_chi_refuses_other_dimensions_before_the_scroll(self, capsys, monkeypatch, d):
+        monkeypatch.setattr(cli_module.Ambient, "balanced", None)
+        code, out, err = run_cli(
+            "formula", "chi", "--d", d, "--e", "3", "--h", "1", "--f", "1",
+            capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: closed-form chi needs d in {{2, 3}}, got d={d}\n"
 
     def test_chi_rejects_cone(self, capsys):
         code, _, _ = run_cli(
