@@ -164,6 +164,31 @@ class TestBuildCatalog:
         # (2, 3, 4, 5, 9) is listed in both tables, flagged in twopoint-g5
         assert sorted(r.genus for r in rows) == [4] * 5 + [5] * 7
 
+    @staticmethod
+    def _two_point_rows(genera):
+        """Rows of the twopoint-table curves of the given genera, one per
+        exponent tuple, in catalog order."""
+        curves = {}
+        for name in ("twopoint-g4", "twopoint-g5"):
+            for r in fixture(name):
+                curve = make_curve(r.exponents)
+                if curve.genus in genera:
+                    curves[curve.exponents] = curve
+        rows = [row_for_curve(c) for c in curves.values()]
+        return sorted(rows, key=lambda r: (r.genus, r.exponents))
+
+    def test_two_point_mode(self):
+        rows = self._two_point_rows({4, 5})
+        assert len(rows) == 11
+        assert all(r.gonality == 3 for r in rows)
+        genera = sorted(r.genus for r in rows)
+        assert genera == [4] * 4 + [5] * 7
+        assert sum(1 for r in rows if r.exponents == (2, 3, 4, 5, 9)) == 1
+
+    def test_two_point_single_genus(self):
+        rows = self._two_point_rows({5})
+        assert len(rows) == 7
+
     def test_range_input(self):
         assert build_catalog(range(4, 6)) == build_catalog([4, 5])
 
