@@ -3,12 +3,17 @@
 The Chow ring of a smooth d-dimensional scroll of degree e is generated by
 the hyperplane class H and the fiber class F subject to F^2 = 0,
 H^(d+1) = 0, H^d F = 0 and H^d = e H^(d-1) F.  Elements are kept in normal
-form as dictionaries mapping (i, j) to the coefficient of H^i F^j.  The
+form as dictionaries mapping (i, j) to the coefficient of H^i F^j;
+`chow_mul` drops the vanishing monomials of a product as it forms them and
+returns exactly what `chow_element` makes of the raw product.  The
 coefficients are integers, as are H, F, the Chern classes and every divisor
 and bundle class; a coefficient is a Fraction only where an input had one.
 Each rational value (a closed form, or a ring route's Todd and Chern
 character denominators 2, 6, 12 and 24) is one Fraction built at the end
 from an integer numerator over a fixed denominator.
+A scroll's dimension d and degree e are set once, when its `Ambient` is
+built, and its tangent terms (c1, c2, c1^2 + c2 and the Todd degree) are
+formed once per scroll, through the ring, and shared by both ring routes.
 On top of the ring sit the closed-form Euler characteristics for surfaces
 and threefolds, rank-2 bundle computations and arithmetic-genus formulas.
 Every quantity with more than one natural derivation is computed along all
@@ -19,8 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, ceil
+from typing import NamedTuple
 
 from .errors import (
     NonIntegralGenus,
@@ -34,7 +41,8 @@ ChowElement = dict[tuple[int, int], int | Fraction]
 
 @dataclass(frozen=True)
 class Ambient:
-    """A rational normal scroll of type (m_1 <= ... <= m_d)."""
+    """A rational normal scroll of type (m_1 <= ... <= m_d), with its
+    dimension `d` and degree `e` = m_1 + ... + m_d."""
 
     dims: tuple[int, ...]
 
@@ -42,14 +50,11 @@ class Ambient:
         object.__setattr__(self, "dims", tuple(sorted(int(m) for m in self.dims)))
         if not self.dims or self.dims[0] < 0:
             raise ValueError(f"invalid scroll type {self.dims}")
-
-    @property
-    def d(self) -> int:
-        return len(self.dims)
-
-    @property
-    def e(self) -> int:
-        return sum(self.dims)
+        # the dimension d and degree e, read on every ring operation, are
+        # plain attributes set once; `dims` stays the only field, so
+        # equality, hash, repr and `replace` see nothing else
+        object.__setattr__(self, "d", len(self.dims))
+        object.__setattr__(self, "e", sum(self.dims))
 
     @property
     def ambient_dimension(self) -> int:
@@ -115,7 +120,12 @@ def chow_element(amb: Ambient, coefficients) -> ChowElement:
             i, j, c = d - 1, 1, c * e
         key = (i, j)
         out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v != 0}
+    # every other key holds one nonzero input; only the top class, where
+    # H^d lands, can cancel
+    top = (d - 1, 1)
+    if out.get(top, 1) == 0:
+        del out[top]
+    return out
 
 
 def hyperplane(amb: Ambient) -> ChowElement:
@@ -131,12 +141,32 @@ def divisor_element(amb: Ambient, c: DivisorClass) -> ChowElement:
 
 
 def chow_mul(amb: Ambient, x: ChowElement, y: ChowElement) -> ChowElement:
+    """The product in normal form, equal to `chow_element` of the raw
+    product.  Monomials that vanish (F^2, H^(d+1), H^d F) are dropped as
+    they are formed; the at most 2d + 1 surviving sums are then coerced and
+    H^d is folded into e H^(d-1) F, as `chow_element` does."""
+    _require_smooth(amb)
+    d = amb.d
     raw: ChowElement = {}
     for (i1, j1), c1 in x.items():
         for (i2, j2), c2 in y.items():
-            key = (i1 + i2, j1 + j2)
-            raw[key] = raw.get(key, 0) + c1 * c2
-    return chow_element(amb, raw)
+            i, j = i1 + i2, j1 + j2
+            if j < 2 and (i < d or (i == d and j == 0)):
+                key = (i, j)
+                raw[key] = raw.get(key, 0) + c1 * c2
+    out: ChowElement = {}
+    for key, c in raw.items():
+        if c == 0:
+            continue
+        if not isinstance(c, int):
+            c = Fraction(c)
+        if key[0] == d:
+            key, c = (d - 1, 1), c * amb.e
+        out[key] = out.get(key, 0) + c
+    top = (d - 1, 1)
+    if out.get(top, 1) == 0:
+        del out[top]
+    return out
 
 
 def chow_degree(amb: Ambient, x: ChowElement) -> int | Fraction:
@@ -177,25 +207,39 @@ def h0_class(amb: Ambient, c: DivisorClass) -> tuple[int, bool]:
     return value, vanishing
 
 
-def canonical_class(amb: Ambient) -> DivisorClass:
-    _require_smooth(amb)
-    return DivisorClass(-amb.d, amb.e - 2)
+class _Tangent(NamedTuple):
+    """The tangent-bundle terms of the Riemann-Roch expansions on one
+    scroll: c1, c2, c1^2 + c2, and the integer Todd degree (the degree of
+    c1^2 + c2 on a surface, of c1 c2 on a threefold)."""
+
+    c1: ChowElement
+    c2: ChowElement
+    c1sq_plus_c2: ChowElement
+    todd: int
 
 
-def _chern_classes(amb: Ambient) -> tuple[ChowElement, ChowElement]:
-    """c1 and c2 of the tangent bundle, for d in {2, 3}."""
+@lru_cache(maxsize=256)
+def _tangent(amb: Ambient) -> _Tangent:
+    """The tangent terms of a smooth scroll with d in {2, 3}, formed once
+    per scroll through the ring.  Only the ring routes read them; the
+    dicts are shared between calls, so nothing may mutate them."""
     e = amb.e
     if amb.d == 2:
-        return (
-            chow_element(amb, {(1, 0): 2, (0, 1): 2 - e}),
-            chow_element(amb, {(1, 1): 4}),
+        c1 = chow_element(amb, {(1, 0): 2, (0, 1): 2 - e})
+        c2 = chow_element(amb, {(1, 1): 4})
+    elif amb.d == 3:
+        c1 = chow_element(amb, {(1, 0): 3, (0, 1): 2 - e})
+        c2 = chow_element(amb, {(2, 0): 3, (1, 1): 6 - 2 * e})
+    else:
+        raise UnsupportedDimension(
+            f"tangent Chern classes coded for d=2,3 only, got d={amb.d}"
         )
-    if amb.d == 3:
-        return (
-            chow_element(amb, {(1, 0): 3, (0, 1): 2 - e}),
-            chow_element(amb, {(2, 0): 3, (1, 1): 6 - 2 * e}),
-        )
-    raise UnsupportedDimension(f"tangent Chern classes coded for d=2,3 only, got d={amb.d}")
+    c1sq = chow_mul(amb, c1, c1)
+    if amb.d == 2:
+        todd = chow_degree(amb, c1sq) + chow_degree(amb, c2)
+    else:
+        todd = chow_degree(amb, chow_mul(amb, c1, c2))
+    return _Tangent(c1, c2, _add(c1sq, c2), todd)
 
 
 def _chi_closed_form(amb: Ambient, c: DivisorClass) -> Fraction:
@@ -223,23 +267,21 @@ def euler_characteristic_chow(amb: Ambient, c: DivisorClass) -> Fraction:
     the integer degrees of the expansion over their common denominator,
     12 for surfaces and 24 for threefolds."""
     _require_smooth(amb)
-    c1, c2 = _chern_classes(amb)
+    tangent = _tangent(amb)
     dd = divisor_element(amb, c)
     if amb.d == 2:
         shifted = chow_element(
             amb, {(1, 0): c.h + 2, (0, 1): c.f + 2 - amb.e}
         )
         main = chow_degree(amb, chow_mul(amb, dd, shifted))
-        todd = chow_degree(amb, chow_mul(amb, c1, c1)) + chow_degree(amb, c2)
-        return Fraction(6 * main + todd, 12)
+        return Fraction(6 * main + tangent.todd, 12)
     d2 = chow_mul(amb, dd, dd)
     d3 = chow_mul(amb, d2, dd)
-    c1sq_plus_c2 = _add(chow_mul(amb, c1, c1), c2)
     return Fraction(
         4 * chow_degree(amb, d3)
-        + 6 * chow_degree(amb, chow_mul(amb, d2, c1))
-        + 2 * chow_degree(amb, chow_mul(amb, dd, c1sq_plus_c2))
-        + chow_degree(amb, chow_mul(amb, c1, c2)),
+        + 6 * chow_degree(amb, chow_mul(amb, d2, tangent.c1))
+        + 2 * chow_degree(amb, chow_mul(amb, dd, tangent.c1sq_plus_c2))
+        + tangent.todd,
         24,
     )
 
@@ -294,35 +336,25 @@ def _bundle_chi_dual_fraction(amb: Ambient, b: RankTwoBundleClass) -> Fraction:
     )
     # independent route: the degree-3 piece of ch(dual E) * Todd, formed
     # times 24 as 2 t1 t2 - 2 c1 (t1^2 + t2) + 6 (c1^2 - 2 c2) t1
-    # - 4 (c1^3 - 3 c1 c2), so every coefficient stays an integer
+    # - 4 (c1^3 - 3 c1 c2) with t1, t2 the tangent classes; every term is
+    # top-dimensional, so the sum is one of integer degrees
     c1 = chow_element(amb, {(1, 0): u, (0, 1): v})
     c2 = chow_element(amb, {(2, 0): w, (1, 1): z})
     c1sq = chow_mul(amb, c1, c1)
-    t1, t2 = _chern_classes(amb)
-    total = _add(
-        _add(
-            _scale(chow_mul(amb, t1, t2), 2),
-            chow_mul(amb, _scale(c1, -2), _add(chow_mul(amb, t1, t1), t2)),
-        ),
-        _add(
-            chow_mul(amb, _scale(_add(c1sq, _scale(c2, -2)), 6), t1),
-            _scale(_add(chow_mul(amb, c1sq, c1), _scale(chow_mul(amb, c1, c2), -3)), -4),
-        ),
+    tangent = _tangent(amb)
+    ring = Fraction(
+        2 * tangent.todd
+        - 2 * chow_degree(amb, chow_mul(amb, c1, tangent.c1sq_plus_c2))
+        + 6 * chow_degree(amb, chow_mul(amb, _add(c1sq, _scale(c2, -2)), tangent.c1))
+        - 4 * chow_degree(amb, chow_mul(amb, c1sq, c1))
+        + 12 * chow_degree(amb, chow_mul(amb, c1, c2)),
+        24,
     )
-    ring = Fraction(total.get((2, 1), 0), 24)
     if closed != ring:
         raise PathsDisagree(
             f"bundle chi closed form {closed} vs ring evaluation {ring}"
         )
     return closed
-
-
-def bundle_chi_dual(amb: Ambient, b: RankTwoBundleClass) -> int:
-    """chi of the dual of a rank-2 bundle on a threefold scroll."""
-    value = _bundle_chi_dual_fraction(amb, b)
-    if value.denominator != 1:
-        raise NonIntegralGenus(f"chi of the dual bundle is {value}, not an integer")
-    return int(value)
 
 
 def pa_from_bundle(amb: Ambient, b: RankTwoBundleClass) -> int:

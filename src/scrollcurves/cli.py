@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 usage error (a malformed command line, or an
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 
 from .catalog import (
@@ -66,6 +68,26 @@ def _genus_range(text: str) -> range:
         raise argparse.ArgumentTypeError(
             f"expected a genus like 6 or a range like 4..8, got {text!r}"
         ) from None
+
+
+def _refuse_unwritable(out: str) -> None:
+    """Raise an OSError naming `out` when it plainly cannot be written, so
+    that a catalog is refused before it is built, and create or change no
+    file: an existing path must be a writable file, a new one needs an
+    existing, writable directory.  Opening the file afterwards can still
+    fail (a full disk, say), and is reported the same way."""
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif os.path.exists(out):
+        code = 0 if os.access(out, os.W_OK) else errno.EACCES
+    else:
+        directory = os.path.dirname(out) or os.curdir
+        if not os.path.isdir(directory):
+            code = errno.ENOENT
+        else:
+            code = 0 if os.access(directory, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise OSError(code, os.strerror(code), out)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -126,6 +148,8 @@ def _cmd_scrolls(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    if args.out:
+        _refuse_unwritable(args.out)
     rows = build_catalog(
         args.genus,
         non_gorenstein=args.non_gorenstein,

@@ -23,7 +23,6 @@ from scrollcurves.chow import (
     Ambient,
     DivisorClass,
     RankTwoBundleClass,
-    bundle_chi_dual,
     euler_characteristic,
     genus_on_cone,
     genus_on_surface,

@@ -11,11 +11,11 @@ record, are tested at the end on real records.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scrollcurves.chow import (
@@ -24,8 +24,7 @@ from scrollcurves.chow import (
     RankTwoBundleClass,
     _bundle_chi_dual_fraction,
     _chi_closed_form,
-    bundle_chi_dual,
-    canonical_class,
+    _tangent,
     chow_degree,
     chow_element,
     chow_mul,
@@ -111,6 +110,11 @@ def ref_chern_classes(amb):
         ref_chow_element(amb, {(1, 0): 3, (0, 1): 2 - e}),
         ref_chow_element(amb, {(2, 0): 3, (1, 1): 6 - 2 * e}),
     )
+
+
+def ref_canonical_class(amb):
+    """K = -c1 of the tangent bundle: -d H + (e - 2) F."""
+    return DivisorClass(-amb.d, amb.e - 2)
 
 
 def ref_chi_closed_form(amb, c):
@@ -200,6 +204,30 @@ monomials = st.tuples(st.integers(0, 4), st.integers(0, 2))
 int_coefficients = st.dictionaries(monomials, small, max_size=8)
 fraction_coefficients = st.dictionaries(monomials, small_fractions, max_size=8)
 mixed_coefficients = st.dictionaries(monomials, small | small_fractions, max_size=8)
+# raw, non-normal dicts: exponents past H^d and F^1 on scrolls of dimension
+# up to 4, zero coefficients, and small values so that sums cancel
+raw_monomials = st.tuples(st.integers(0, 6), st.integers(0, 3))
+raw_ints = st.integers(-3, 3)
+raw_values = raw_ints | st.fractions(-3, 3, max_denominator=4) | st.just(Fraction(0))
+raw_int_elements = st.dictionaries(raw_monomials, raw_ints, max_size=8)
+raw_elements = st.dictionaries(raw_monomials, raw_values, max_size=8)
+
+
+def normal_keys(amb):
+    return {(i, j) for i in range(amb.d) for j in (0, 1)}
+
+
+def raw_product(x, y):
+    raw = {}
+    for (i1, j1), c1 in x.items():
+        for (i2, j2), c2 in y.items():
+            key = (i1 + i2, j1 + j2)
+            raw[key] = raw.get(key, 0) + c1 * c2
+    return raw
+
+
+def typed(element):
+    return {k: (v, type(v)) for k, v in element.items()}
 
 
 class TestAmbient:
@@ -233,6 +261,23 @@ class TestAmbient:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Ambient((-1, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=6),
+           st.lists(st.integers(0, 9), min_size=1, max_size=6))
+    def test_d_and_e_set_once_and_dims_the_only_field(self, dims, other):
+        amb = Ambient(dims)
+        assert (amb.d, amb.e) == (len(dims), sum(dims))
+        moved = replace(amb, dims=tuple(other))
+        assert (moved.d, moved.e) == (len(other), sum(other))
+        assert [f.name for f in fields(Ambient)] == ["dims"]
+        assert repr(amb) == f"Ambient(dims={tuple(sorted(dims))})"
+        assert (moved == amb) == (sorted(other) == sorted(dims))
+        same = Ambient(list(reversed(dims)))
+        assert same == amb and hash(same) == hash(amb)
+        assert replace(moved, dims=tuple(dims)) == amb
+        with pytest.raises(FrozenInstanceError):
+            amb.e = amb.e + 1
 
 
 class TestRingNormalForm:
@@ -312,8 +357,20 @@ class TestSections:
         assert h0_class(amb, DivisorClass(2, -3)) == (3, True)
 
     def test_canonical_class(self):
-        assert canonical_class(Ambient.balanced(2, 4)) == DivisorClass(-2, 2)
-        assert canonical_class(Ambient((1, 1, 1))) == DivisorClass(-3, 1)
+        assert ref_canonical_class(Ambient.balanced(2, 4)) == DivisorClass(-2, 2)
+        assert ref_canonical_class(Ambient((1, 1, 1))) == DivisorClass(-3, 1)
+        for amb in (Ambient.balanced(2, 4), Ambient((1, 1, 1)), Ambient((1, 2, 3))):
+            k = ref_canonical_class(amb)
+            # K is minus the c1 both ring routes use, and Serre duality
+            # chi(K - D) = (-1)^d chi(D) holds for the library's chi
+            assert divisor_element(amb, DivisorClass(-k.h, -k.f)) == _tangent(amb).c1
+            for h in range(-3, 4):
+                for f in range(-3, 4):
+                    c = DivisorClass(h, f)
+                    dual = DivisorClass(k.h - h, k.f - f)
+                    assert euler_characteristic(amb, dual) == (
+                        (-1) ** amb.d * euler_characteristic(amb, c)
+                    )
 
 
 class TestEulerCharacteristic:
@@ -352,11 +409,13 @@ class TestEulerCharacteristic:
 class TestBundleChi:
     def test_trivial_bundle(self):
         amb = Ambient((1, 1, 1))
-        assert bundle_chi_dual(amb, RankTwoBundleClass(0, 0, 0, 0)) == 2
+        b = RankTwoBundleClass(0, 0, 0, 0)
+        assert _bundle_chi_dual_fraction(amb, b) == ref_bundle_chi_ring(amb, b) == 2
 
     def test_split_example(self):
         amb = Ambient((1, 1, 1))
-        assert bundle_chi_dual(amb, RankTwoBundleClass(4, 0, 4, 0)) == 0
+        b = RankTwoBundleClass(4, 0, 4, 0)
+        assert _bundle_chi_dual_fraction(amb, b) == ref_bundle_chi_ring(amb, b) == 0
         assert euler_characteristic(amb, DivisorClass(-2, 0)) == 0
 
     def test_split_additivity(self):
@@ -366,7 +425,8 @@ class TestBundleChi:
                 for b in range(-2, 3):
                     for c in range(0, 3):
                         for d in range(-2, 3):
-                            total = bundle_chi_dual(amb, split_bundle(a, b, c, d))
+                            total = _bundle_chi_dual_fraction(amb, split_bundle(a, b, c, d))
+                            assert total.denominator == 1
                             parts = euler_characteristic(
                                 amb, DivisorClass(-a, -b)
                             ) + euler_characteristic(amb, DivisorClass(-c, -d))
@@ -374,7 +434,7 @@ class TestBundleChi:
 
     def test_surface_rejected(self):
         with pytest.raises(UnsupportedDimension):
-            bundle_chi_dual(Ambient((1, 2)), RankTwoBundleClass(1, 0, 0, 0))
+            _bundle_chi_dual_fraction(Ambient((1, 2)), RankTwoBundleClass(1, 0, 0, 0))
 
 
 class TestBundleGenus:
@@ -435,6 +495,29 @@ class TestIntegerRingOracle:
         assert fast_x == ref_x and fast_y == ref_y
         assert chow_mul(amb, fast_x, fast_y) == ref_chow_mul(amb, ref_x, ref_y)
 
+    @settings(max_examples=300, deadline=None)
+    @given(smooth_ambients((1, 2, 3, 4)), raw_elements, raw_elements)
+    # H^2 sums to a zero Fraction and HF to an int: the int stays an int
+    @example(Ambient((1, 2)), {(0, 0): 1, (1, 0): Fraction(0)}, {(1, 1): 2, (1, 0): 1})
+    # H^2 = 3 HF on S(1, 2) cancels -3 HF: no zero term is left
+    @example(Ambient((1, 2)), {(0, 0): 1}, {(2, 0): 1, (1, 1): -3})
+    def test_product_of_raw_dicts(self, amb, x, y):
+        product = chow_mul(amb, x, y)
+        assert product == ref_chow_mul(amb, x, y)
+        assert set(product) <= normal_keys(amb)
+        assert all(type(c) in (int, Fraction) and c != 0 for c in product.values())
+        # the one-pass product is the normal form of the raw product,
+        # coefficient types included
+        assert typed(product) == typed(chow_element(amb, raw_product(x, y)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(smooth_ambients((1, 2, 3, 4)), raw_int_elements, raw_int_elements)
+    def test_product_of_raw_int_dicts_stays_int(self, amb, x, y):
+        product = chow_mul(amb, x, y)
+        assert product == ref_chow_mul(amb, x, y)
+        assert set(product) <= normal_keys(amb)
+        assert all(type(c) is int and c != 0 for c in product.values())
+
     @settings(max_examples=200, deadline=None)
     @given(smooth_ambients(), small, small, small, small)
     def test_integer_degree_is_an_int(self, amb, h1, f1, h2, f2):
@@ -478,6 +561,40 @@ class TestIntegerRingOracle:
                 pa_from_bundle(amb, b)
         else:
             assert pa_from_bundle(amb, b) == expected
+
+
+class TestTangentTerms:
+    """The tangent terms are formed once per scroll and shared by both
+    ring routes; no call may change them."""
+
+    def test_repeated_calls_leave_the_cached_terms(self):
+        for amb in (Ambient((1, 2)), Ambient.balanced(2, 7), Ambient((1, 1, 1)), Ambient((1, 2, 3))):
+            _tangent.cache_clear()
+            classes = [DivisorClass(h, f) for h in (-2, 0, 3) for f in (-1, 2)]
+            bundles = [split_bundle(1, -1, 2, 0), split_bundle(2, 1, 3, -2)]
+
+            def values():
+                chis = [euler_characteristic(amb, c) for c in classes]
+                if amb.d == 3:
+                    return chis, [pa_from_bundle(amb, b) for b in bundles]
+                return chis, []
+
+            first = values()
+            assert first[0] == [ref_chi_ring(amb, c) for c in classes]
+            for _ in range(3):
+                assert values() == first
+            info = _tangent.cache_info()
+            assert info.misses == 1 and info.hits == 4 * len(classes) + 4 * len(first[1]) - 1
+            tangent = _tangent(amb)
+            c1, c2 = ref_chern_classes(amb)
+            assert (tangent.c1, tangent.c2) == (c1, c2)
+            c1sq = ref_chow_mul(amb, c1, c1)
+            assert tangent.c1sq_plus_c2 == ref_add(c1sq, c2)
+            todd = ref_degree(amb, ref_add(c1sq, c2) if amb.d == 2 else ref_chow_mul(amb, c1, c2))
+            assert type(tangent.todd) is int and tangent.todd == todd
+
+    def test_equal_scrolls_share_one_entry(self):
+        assert _tangent(Ambient((2, 1, 1))) is _tangent(Ambient((1, 1, 2)))
 
 
 class TestGenusFormulas:

@@ -234,6 +234,32 @@ class TestCatalog:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(target) in err
 
+    def test_unwritable_out_is_refused_before_building(self, tmp_path, monkeypatch, capsys):
+        def build_catalog(*args, **kwargs):
+            raise AssertionError("the catalog was built for an unwritable --out")
+
+        monkeypatch.setattr(cli_module, "build_catalog", build_catalog)
+        for target in (tmp_path / "missing" / "rows.json", tmp_path):
+            code, out, err = run_cli(
+                "catalog", "--genus", "4..16", "--out", str(target), capsys=capsys
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(target) in err
+
+    def test_refused_genus_leaves_out_untouched(self, tmp_path, capsys):
+        existing = tmp_path / "rows.json"
+        existing.write_bytes(b"kept\n")
+        fresh = tmp_path / "fresh.json"
+        for target in (existing, fresh):
+            code, out, err = run_cli(
+                "catalog", "--genus", "17..20", "--out", str(target), capsys=capsys
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: genus 17 exceeds the enumeration bound 16\n"
+        assert existing.read_bytes() == b"kept\n"
+        assert not fresh.exists()
+
     def test_genus_range_stops_at_the_bound(self, capsys):
         code, out, err = run_cli("catalog", "--genus", "17..100000", capsys=capsys)
         assert (code, out) == (2, "")
