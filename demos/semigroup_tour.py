@@ -24,7 +24,7 @@ def describe(generators) -> None:
     print(f"S = <{', '.join(map(str, s.minimal_generators))}>")
     print(f"  gaps: {s.gaps}")
     print(f"  delta={s.delta} beta={s.beta} gamma={s.gamma} alpha={s.alpha}")
-    print(f"  symmetric: {is_symmetric(s)}  eta: {eta_local(s)}  mu: {mu_local(s).mu}")
+    print(f"  symmetric: {is_symmetric(s)}  eta: {eta_local(s)}  mu: {mu_local(s)}")
     print(f"  K* = {k_star}")
     back = recover_from_kappa_star(k_star)
     print(f"  recovered from K*: {back == s}")

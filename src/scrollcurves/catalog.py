@@ -6,7 +6,9 @@ invariant from scratch, and checks the structural identities on each row
 as it is built.  The audit recomputes a bundled reference table and
 reports, row by row, whether the recorded values agree with the computed
 ones.  Rendering produces deterministic JSON, CSV, or markdown for
-catalog rows and markdown for audit reports.
+catalog rows and markdown for audit reports; JSON is encoded one row at a
+time, so the whole catalog never exists as one tree of dicts.  Rows,
+audit reports, flag records and findings are named tuples.
 
 Every check of the paper's statements on a curve record lives here:
 `check_scroll_correspondence` holds the gonality-scroll theorem on each
@@ -22,8 +24,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curves import (
     CurveAnalysis,
@@ -44,12 +46,23 @@ from .scrolls import ScrollStructure, scroll_structures
 from .semigroups import enumerate_genus
 
 
-@dataclass(frozen=True)
-class CatalogRow(CurveAnalysis):
-    """One catalog entry: a curve's invariant record with the scroll
-    structures of its canonical model."""
+class CatalogRow(NamedTuple):
+    """One catalog entry: a curve's invariant record (the fields of
+    `CurveAnalysis`, in its order) with the scroll structures of its
+    canonical model."""
 
+    exponents: tuple[int, ...]
+    genus: int
+    g_prime: int
+    eta: int
+    mu: int
+    gonality: int
+    canonical: tuple[int, ...]
+    flags: dict
+    eta_branches: tuple[int, int]
     structures: tuple[ScrollStructure, ...]
+
+    label = CurveAnalysis.label
 
     def to_dict(self) -> dict:
         return {
@@ -68,8 +81,7 @@ class CatalogRow(CurveAnalysis):
         }
 
 
-@dataclass(frozen=True)
-class FlagRecord:
+class FlagRecord(NamedTuple):
     """A fixture row whose recorded value disagrees with recomputation."""
 
     row: FixtureRow
@@ -78,8 +90,7 @@ class FlagRecord:
     computed_value: object
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of recomputing one bundled table."""
 
     name: str
@@ -122,8 +133,7 @@ def check_scroll_correspondence(exponents, genus: int, gon: int, msd: int) -> No
         )
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One checked statement: item name, pass/fail/n-a status, and a short
     human-readable detail line."""
 
@@ -456,7 +466,7 @@ def _catalog_row(
     if not verify_dualizing_candidate(curve, raw):
         raise PathsDisagree(f"canonical sections of {record.exponents} fail the degree test")
     check_scroll_correspondence(record.exponents, record.genus, record.gonality, msd)
-    return CatalogRow(**vars(record), structures=structures)
+    return CatalogRow(*record, structures)
 
 
 def row_for_curve(curve: MonomialCurve) -> CatalogRow:
@@ -569,9 +579,13 @@ def _structures_cell(row: CatalogRow) -> str:
     )
 
 
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def _render_rows(rows, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([row.to_dict() for row in rows], separators=(",", ":"))
+        # one row's dicts at a time: the bytes of json.dumps of the list
+        return "[" + ",".join(_JSON.encode(row.to_dict()) for row in rows) + "]"
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -11,18 +11,19 @@ and bundle class; a coefficient is a Fraction only where an input had one.
 Each rational value (a closed form, or a ring route's Todd and Chern
 character denominators 2, 6, 12 and 24) is one Fraction built at the end
 from an integer numerator over a fixed denominator.
-A scroll's dimension d and degree e are set once, when its `Ambient` is
-built, and its tangent terms (c1, c2, c1^2 + c2 and the Todd degree) are
-formed once per scroll, through the ring, and shared by both ring routes.
-On top of the ring sit the closed-form Euler characteristics for surfaces
-and threefolds, rank-2 bundle computations and arithmetic-genus formulas.
+A scroll's dimension d and degree e are set once, when its `Ambient` (a
+small immutable slotted class, hashed by its type) is built, and its
+tangent terms (c1, c2, c1^2 + c2 and the Todd degree) are formed once per
+scroll, through the ring, and shared by both ring routes.  On top of the
+ring sit the closed-form Euler characteristics for surfaces and
+threefolds, rank-2 bundle computations and arithmetic-genus formulas;
+divisor and bundle classes are named tuples.
 Every quantity with more than one natural derivation is computed along all
 of them and compared exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -39,22 +40,42 @@ from .errors import (
 ChowElement = dict[tuple[int, int], int | Fraction]
 
 
-@dataclass(frozen=True)
 class Ambient:
     """A rational normal scroll of type (m_1 <= ... <= m_d), with its
-    dimension `d` and degree `e` = m_1 + ... + m_d."""
+    dimension `d` and degree `e` = m_1 + ... + m_d.
 
-    dims: tuple[int, ...]
+    Immutable, with equality, hash and repr by `dims` alone; `d` and `e`,
+    read on every ring operation, are plain slots set once."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(sorted(int(m) for m in self.dims)))
-        if not self.dims or self.dims[0] < 0:
-            raise ValueError(f"invalid scroll type {self.dims}")
-        # the dimension d and degree e, read on every ring operation, are
-        # plain attributes set once; `dims` stays the only field, so
-        # equality, hash, repr and `replace` see nothing else
-        object.__setattr__(self, "d", len(self.dims))
-        object.__setattr__(self, "e", sum(self.dims))
+    __slots__ = ("dims", "d", "e")
+
+    def __init__(self, dims) -> None:
+        dims = tuple(sorted(int(m) for m in dims))
+        if not dims or dims[0] < 0:
+            raise ValueError(f"invalid scroll type {dims}")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "d", len(dims))
+        object.__setattr__(self, "e", sum(dims))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dims == other.dims
+
+    def __hash__(self) -> int:
+        return hash(self.dims)
+
+    def __repr__(self) -> str:
+        return f"Ambient(dims={self.dims})"
+
+    def __reduce__(self):
+        return Ambient, (self.dims,)
 
     @property
     def ambient_dimension(self) -> int:
@@ -74,16 +95,14 @@ class Ambient:
         return cls((base,) * (d - extra) + (base + 1,) * extra)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """The divisor class h*H + f*F."""
 
     h: int
     f: int
 
 
-@dataclass(frozen=True)
-class RankTwoBundleClass:
+class RankTwoBundleClass(NamedTuple):
     """Chern data of a rank-2 bundle: c1 = uH + vF, c2 = wH^2 + zHF."""
 
     u: int

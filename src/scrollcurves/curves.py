@@ -6,12 +6,14 @@ and has at most two points of interest: the one at t = 0 and the one at
 t = infinity, each described by a numerical semigroup of local values.
 Everything downstream (canonical sections, sheaf degrees, gonality pencils,
 symmetry-defect flags) is computed exactly from those two semigroups.
+The records returned (`SheafData`, `CurveAnalysis`) are named tuples:
+immutable, compared field by field, and changed only by `_replace`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BoundExceeded,
@@ -169,25 +171,13 @@ def canonical_section_exponents(curve: MonomialCurve) -> tuple[int, ...]:
     return curve._canonical
 
 
-def normalize_values(values) -> tuple[int, ...]:
-    """Sorted distinct values translated so the smallest is 0."""
-    vals = sorted(set(values))
-    if not vals:
-        return ()
-    lowest = vals[0]
-    return tuple(v - lowest for v in vals)
-
-
 def equal_up_to_reversal(a, b) -> bool:
-    """Equality of normalized value sets, allowing the flip x -> max - x."""
-    left = normalize_values(a)
-    right = normalize_values(b)
-    if left == right:
-        return True
-    if not left:
-        return False
-    top = left[-1]
-    return tuple(sorted(top - x for x in left)) == right
+    """Equality of value sets translated so the smallest is 0, allowing
+    the flip x -> max - x (an empty set equals only the empty set)."""
+    left, right = (sorted(set(v)) for v in (a, b))
+    left = [x - left[0] for x in left]
+    right = [x - right[0] for x in right]
+    return left == right or sorted(left[-1] - x for x in left) == right
 
 
 def canonical_exponents(curve: MonomialCurve) -> tuple[int, ...]:
@@ -204,8 +194,7 @@ def canonical_exponents(curve: MonomialCurve) -> tuple[int, ...]:
     return tuple(c - raw[0] for c in raw)
 
 
-@dataclass(frozen=True)
-class SheafData:
+class SheafData(NamedTuple):
     """Degree and number of global sections of a monomial sheaf."""
 
     degree: int
@@ -366,8 +355,7 @@ LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class CurveAnalysis:
+class CurveAnalysis(NamedTuple):
     """Everything the catalog records about one curve.
 
     flags maps each classification name to its truth value, in the order
@@ -407,7 +395,7 @@ def analyze(curve: MonomialCurve) -> CurveAnalysis:
     g = curve.genus
     branches = (curve.s_zero, curve.s_infinity)
     eta_b = tuple(eta_local(s) for s in branches)
-    mu_b = tuple(mu_local(s).mu for s in branches)
+    mu_b = tuple(mu_local(s) for s in branches)
     eta, mu = sum(eta_b), sum(mu_b)
     if g == 0:
         canonical: tuple[int, ...] = ()

@@ -16,13 +16,12 @@ others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnknownFixture
 
 
-@dataclass(frozen=True)
-class FixtureRow:
+class FixtureRow(NamedTuple):
     """One recorded table row.
 
     `canonical` holds the recorded canonical-model exponents exactly as

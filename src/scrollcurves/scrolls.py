@@ -5,14 +5,13 @@ of splitting the set into blocks of arithmetic progressions with a common
 step describe the rational normal scrolls through that curve.  Block sizes
 determine the scroll type, the step divided by the gcd of the set gives the
 fiber degree ell, and vanishing of the 2 x 2 minors of the associated
-two-row matrix certifies a proposed structure.
+two-row matrix certifies a proposed structure (the tests hold every
+structure found to that check).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, product
 
 from .chow import Ambient
@@ -22,28 +21,60 @@ from .semigroups import bitmask
 SPLIT_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
 class ScrollStructure:
     """A block partition of an exponent set realizing a scroll.
 
     blocks are tuples of set elements, each an arithmetic progression with
     the given step; kappa is the gcd of differences within the whole set,
     so ell = step / kappa is the degree the blocks sweep along a fiber.
+    Immutable, with equality, hash and repr by step, blocks and kappa; a
+    spare slot keeps the scroll type once it is first read.
     """
 
-    step: int
-    blocks: tuple[tuple[int, ...], ...]
-    kappa: int
+    __slots__ = ("step", "blocks", "kappa", "_scroll_type")
+
+    def __init__(self, step: int, blocks: tuple[tuple[int, ...], ...], kappa: int) -> None:
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "kappa", kappa)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.step, self.blocks, self.kappa
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "ScrollStructure(step={!r}, blocks={!r}, kappa={!r})".format(*self._key())
+
+    def __reduce__(self):
+        return ScrollStructure, self._key()
 
     @property
     def ell(self) -> int:
         return self.step // self.kappa
 
-    @cached_property
+    @property
     def scroll_type(self) -> Ambient:
         """The scroll the blocks span: one dimension per block, its size
         less one (an Ambient sorts them ascending), built once."""
-        return Ambient(tuple(len(b) - 1 for b in self.blocks))
+        try:
+            return self._scroll_type
+        except AttributeError:
+            built = Ambient(tuple(len(b) - 1 for b in self.blocks))
+            object.__setattr__(self, "_scroll_type", built)
+            return built
 
     @property
     def m_min(self) -> int:
@@ -246,27 +277,3 @@ def _run_counts(vals: tuple[int, ...], limit: int | None = None):
         count = _run_count(mask, n, step)
         best = min(best, count)
         yield step, count
-
-
-def minor_check(values, blocks, step: int) -> bool:
-    """Verify a proposed block structure by the rank-one matrix condition.
-
-    The blocks must partition the value set (anything else raises
-    ValueError).  Each block of size two or more contributes the exponent
-    columns (t, u) = (b[i], b[i+1]) of a two-row matrix of monomials; the
-    structure is genuine exactly when every column has drop equal to the
-    step and every 2 x 2 minor vanishes, that is t_i + u_j = t_j + u_i.
-    Once every drop is the step each column is (t, t + step), so every
-    minor vanishes and the drop test alone decides.  No library route
-    calls this; the tests hold every structure `scroll_structures`
-    returns to it.
-    """
-    vals = sorted(set(int(v) for v in values))
-    flat = sorted(x for b in blocks for x in b)
-    if flat != vals:
-        raise ValueError("blocks do not partition the value set")
-    for b in blocks:
-        bs = sorted(b)
-        if any(y - x != step for x, y in zip(bs, bs[1:])):
-            return False
-    return True

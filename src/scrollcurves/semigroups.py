@@ -10,7 +10,6 @@ measures how far a semigroup is from being symmetric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -190,29 +189,6 @@ def make_semigroup(generators) -> NumericalSemigroup:
     return NumericalSemigroup(bitmask(gaps))
 
 
-def semigroup_from_gaps(gaps) -> NumericalSemigroup:
-    """Rebuild a semigroup from its gap set, verifying additive closure.
-
-    Raises ValueError when the complement of the proposed gap set is not
-    closed under addition, naming the smallest element a and then the
-    smallest b >= a whose sum is a gap: the lowest gap met by the elements
-    from a up, shifted by a.
-    """
-    gap_list = sorted(set(gaps))
-    if gap_list and gap_list[0] < 1:
-        raise ValueError("gaps must be positive integers")
-    s = NumericalSemigroup(bitmask(gap_list))
-    elements = ~s.gap_mask & ((1 << s.beta) - 1) & -2
-    for a in set_bits(elements):
-        hit = elements >> a << 2 * a & s.gap_mask
-        if hit:
-            total = (hit & -hit).bit_length() - 1
-            raise ValueError(
-                f"complement is not additively closed: {a} + {total - a} = {total} is a gap"
-            )
-    return s
-
-
 def kappa_sets(s: NumericalSemigroup) -> tuple[int, ...]:
     """The dual set K* of s relative to its Frobenius number.
 
@@ -242,16 +218,8 @@ def eta_local(s: NumericalSemigroup) -> int:
     return (reverse_bits(s.gap_mask, s.beta) & s.gap_mask).bit_count()
 
 
-@dataclass(frozen=True)
-class MuData:
-    """mu together with the semigroup that K generates."""
-
-    mu: int
-    closure: NumericalSemigroup
-
-
-def mu_local(s: NumericalSemigroup) -> MuData:
-    """The second symmetry defect #(<K> \\ K), and <K> itself.
+def mu_local(s: NumericalSemigroup) -> int:
+    """The second symmetry defect mu = #(<K> \\ K).
 
     K contains 0, so the chain K, 2K, 3K, ... of Minkowski powers grows up
     to <K>, the semigroup K generates, and a semigroup is its own
@@ -263,16 +231,14 @@ def mu_local(s: NumericalSemigroup) -> MuData:
     semigroup (2 delta = beta) has K = S, so <K> = S and mu = 0 with no
     sieve.
 
-    >>> data = mu_local(make_semigroup((4, 5, 7)))
-    >>> data.mu, data.closure.gaps
-    (1, (1, 2))
+    >>> mu_local(make_semigroup((4, 5, 7)))
+    1
     """
     if 2 * s.delta == s.beta:
-        closure = s
-    else:
-        nonzero = reverse_bits(s.gap_mask, s.beta) & -2
-        closure = make_semigroup(set_bits(nonzero) + tuple(range(s.beta, s.beta + s.alpha)))
-    return MuData(s.beta - s.delta - closure.delta, closure)
+        return 0
+    nonzero = reverse_bits(s.gap_mask, s.beta) & -2
+    closure = make_semigroup(set_bits(nonzero) + tuple(range(s.beta, s.beta + s.alpha)))
+    return s.beta - s.delta - closure.delta
 
 
 def recover_from_kappa_star(values) -> NumericalSemigroup:
@@ -291,11 +257,19 @@ def recover_from_kappa_star(values) -> NumericalSemigroup:
     if vals[0] != 0:
         raise NotAValidKappaStar("the finite dual part must contain 0")
     gamma = vals[-1] + 1
-    gaps = sorted(gamma - a for a in vals)
-    try:
-        return semigroup_from_gaps(gaps)
-    except ValueError as exc:
-        raise NotAValidKappaStar(str(exc)) from exc
+    s = NumericalSemigroup(bitmask(gamma - a for a in vals))
+    # the complement must be additively closed: the lowest gap met by the
+    # elements from a up, shifted by a, names the smallest b >= a with
+    # a + b a gap
+    elements = ~s.gap_mask & ((1 << s.beta) - 1) & -2
+    for a in set_bits(elements):
+        hit = elements >> a << 2 * a & s.gap_mask
+        if hit:
+            total = (hit & -hit).bit_length() - 1
+            raise NotAValidKappaStar(
+                f"complement is not additively closed: {a} + {total - a} = {total} is a gap"
+            )
+    return s
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,6 @@ from scrollcurves.curves import (
     analyze,
     canonical_section_exponents,
     make_curve,
-    normalize_values,
     representative_curve,
     verify_dualizing_candidate,
 )
@@ -48,6 +47,12 @@ EXPECTED_COUNTS = {4: 7, 5: 12, 6: 23, 7: 39, 8: 67, 9: 118, 10: 204, 11: 343, 1
 HIGH_GENUS_COUNTS = {13: 1001, 14: 1693, 15: 2857, 16: 4806}
 
 _SWEEP: dict[int, list] = {}
+
+
+def normalize_values(values) -> tuple[int, ...]:
+    """Sorted distinct values translated so the smallest is 0."""
+    vals = sorted(set(values))
+    return tuple(v - vals[0] for v in vals)
 
 
 def sweep():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -10,9 +11,6 @@ from scrollcurves import catalog as catalog_module
 from scrollcurves import curves as curves_module
 from scrollcurves import scrolls as scrolls_module
 from scrollcurves.catalog import (
-    AuditReport,
-    CatalogRow,
-    FlagRecord,
     audit_fixture,
     build_catalog,
     format_exponents,
@@ -289,6 +287,40 @@ class TestRender:
         assert format_exponents((1, 2)) == "(1:t:t^2)"
         assert format_exponents((0, 2, 3, 4)) == "(1:t^2:t^3:t^4)"
         assert format_exponents((0, 1, 2, -3)) == "(1:t:t^2:t^-3)"
+
+
+def whole_list_json(rows) -> str:
+    """The JSON render as it was before rows were encoded one at a time:
+    `json.dumps` of the whole list of row dicts."""
+    return json.dumps([row.to_dict() for row in rows], separators=(",", ":"))
+
+
+class TestRowByRowJson:
+    """The JSON render encodes one row's dicts at a time, with the bytes of
+    one `json.dumps` of every row's dict."""
+
+    @pytest.fixture(scope="class")
+    def sweep_rows(self):
+        return build_catalog(range(4, 13))
+
+    def test_bytes_match_whole_list_dumps(self, sweep_rows):
+        filtered = build_catalog(range(4, 11), non_gorenstein=True, scroll_dim=3)
+        assert (len(sweep_rows), len(filtered)) == (1405, 223)
+        for rows in (sweep_rows, filtered, []):
+            assert render(rows, "json") == whole_list_json(rows)
+        assert render([], "json") == "[]"
+
+    def test_peak_memory_is_a_small_multiple_of_the_output(self, sweep_rows):
+        """Encoding the whole list of dicts peaked near 11x the output;
+        row by row it holds the encoded rows and the output, about 2-3x."""
+        tracemalloc.start()
+        try:
+            out = render(sweep_rows, "json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) > 400_000
+        assert peak < 4 * len(out), (peak, len(out))
 
 
 # A registered discrepancy, pinned like the `expect_flag` fixture rows: the

@@ -11,7 +11,8 @@ record, are tested at the end on real records.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, fields, replace
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -43,7 +44,6 @@ from scrollcurves.curves import analyze, make_curve
 from scrollcurves.errors import (
     NonIntegralGenus,
     NotTopDimensional,
-    PathsDisagree,
     UnsupportedDimension,
 )
 from scrollcurves.scrolls import ScrollStructure, scroll_structures
@@ -268,16 +268,25 @@ class TestAmbient:
     def test_d_and_e_set_once_and_dims_the_only_field(self, dims, other):
         amb = Ambient(dims)
         assert (amb.d, amb.e) == (len(dims), sum(dims))
-        moved = replace(amb, dims=tuple(other))
+        moved = Ambient(tuple(other))
         assert (moved.d, moved.e) == (len(other), sum(other))
-        assert [f.name for f in fields(Ambient)] == ["dims"]
+        # equality, hash and repr read dims alone
         assert repr(amb) == f"Ambient(dims={tuple(sorted(dims))})"
         assert (moved == amb) == (sorted(other) == sorted(dims))
+        assert (moved != amb) == (sorted(other) != sorted(dims))
         same = Ambient(list(reversed(dims)))
         assert same == amb and hash(same) == hash(amb)
-        assert replace(moved, dims=tuple(dims)) == amb
-        with pytest.raises(FrozenInstanceError):
+        assert amb != tuple(sorted(dims)) and amb.__eq__(amb.dims) is NotImplemented
+        assert len({amb, same, moved}) == (1 if moved == amb else 2)
+        for twin in (copy.copy(amb), copy.deepcopy(amb), pickle.loads(pickle.dumps(amb))):
+            assert twin == amb and (twin.d, twin.e) == (amb.d, amb.e)
+        with pytest.raises(AttributeError):
             amb.e = amb.e + 1
+        with pytest.raises(AttributeError):
+            amb.extra = 1
+        with pytest.raises(AttributeError):
+            del amb.dims
+        assert (amb.d, amb.e) == (len(dims), sum(dims))
 
 
 class TestRingNormalForm:
@@ -628,7 +637,7 @@ def statuses(findings):
 
 class TestSurfaceReport:
     """`surface_scroll_report` on real curves, or on real records changed
-    with `dataclasses.replace` where no curve gives the case."""
+    with `_replace` where no curve gives the case."""
 
     def test_gorenstein_all_not_applicable(self):
         record = record_of(5, 6, 7, 8)
@@ -663,7 +672,7 @@ class TestSurfaceReport:
         assert by_item["directrix-gonality"] == "pass"
 
     def test_image_genus_identity_fails_on_wrong_g_prime(self):
-        record = replace(record_of(5, 6, 7, 8, 9), g_prime=1)
+        record = record_of(5, 6, 7, 8, 9)._replace(g_prime=1)
         by_item = statuses(surface_scroll_report(record))
         assert by_item["image-genus-identity"] == "fail"
         assert by_item["line-image-rational"] == "fail"
@@ -673,7 +682,7 @@ class TestSurfaceReport:
     def test_fiber_bound_fails_on_quartic_fiber(self):
         # the step-4 runs (0, 4, 8) and (1, 5, 9) of a gcd-1 set sweep a
         # quartic fiber on the smooth scroll S(2, 2)
-        record = replace(record_of(3, 8, 12, 13), canonical=(0, 1, 4, 5, 8, 9))
+        record = record_of(3, 8, 12, 13)._replace(canonical=(0, 1, 4, 5, 8, 9))
         assert [(s.m_min, s.ell) for s in scroll_structures(record.canonical, 2)] == [(2, 4)]
         by_item = statuses(surface_scroll_report(record))
         assert by_item["fiber-degree-bound"] == "fail"
@@ -692,11 +701,11 @@ class TestSurfaceReport:
         assert descent.detail == "gon(C) = 3 <= gon(C') + g - g' = 5"
         # 3m = g - 3 is attained, so the bound needs Kunz at a single point
         by_item = statuses(
-            surface_scroll_report(replace(record, flags={**record.flags, "kunz": False}))
+            surface_scroll_report(record._replace(flags={**record.flags, "kunz": False}))
         )
         assert by_item["cubic-kunz-almost-gorenstein"] == "fail"
         assert by_item["cubic-dimension-bound"] == "fail"
-        by_item = statuses(surface_scroll_report(replace(record, eta_branches=(1, 1))))
+        by_item = statuses(surface_scroll_report(record._replace(eta_branches=(1, 1))))
         assert by_item["cubic-kunz-almost-gorenstein"] == "pass"
         assert by_item["cubic-dimension-bound"] == "fail"
 
@@ -735,7 +744,7 @@ class TestThreefoldReport:
         assert by_item["line-image-twist"] == "pass"
         assert by_item["line-image-rational"] == "pass"
         assert by_item["nearly-gorenstein-twist"] == "pass"
-        bent = replace(record, g_prime=1, flags={**record.flags, "nearly_gorenstein": False})
+        bent = record._replace(g_prime=1, flags={**record.flags, "nearly_gorenstein": False})
         by_item = statuses(threefold_bundle_report(bent, structure, 2, 2))
         assert by_item["line-image-rational"] == "fail"
         assert by_item["nearly-gorenstein-twist"] == "fail"
@@ -761,7 +770,7 @@ class TestThreefoldReport:
         assert by_item["kunz-twist"] == "pass"
         by_item = statuses(
             threefold_bundle_report(
-                replace(record, flags={**record.flags, "kunz": True}), structure, 3, 1
+                record._replace(flags={**record.flags, "kunz": True}), structure, 3, 1
             )
         )
         assert by_item["kunz-twist"] == "fail"
@@ -777,7 +786,7 @@ class TestThreefoldReport:
         assert by_item["cubic-image-twist"] == "pass"
         assert by_item["kunz-single-point-twist"] == "pass"
         by_item = statuses(
-            threefold_bundle_report(replace(record, eta_branches=(1, 1)), structure, 4, -2)
+            threefold_bundle_report(record._replace(eta_branches=(1, 1)), structure, 4, -2)
         )
         assert by_item["kunz-single-point-twist"] == "fail"
 
@@ -806,7 +815,7 @@ class TestThreefoldReport:
         cone = block_structure(4, (0, 4, 8, 12), (6,), (7, 11))
         by_item = statuses(threefold_bundle_report(record, cone, 4, -4))
         assert by_item["quartic-dimension-bound"] == "fail"
-        kunz = replace(record, flags={**record.flags, "kunz": True})
+        kunz = record._replace(flags={**record.flags, "kunz": True})
         by_item = statuses(threefold_bundle_report(kunz, structure, 4, -4))
         assert by_item["quartic-kunz-exclusion"] == "fail"
 

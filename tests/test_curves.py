@@ -28,7 +28,6 @@ from scrollcurves.curves import (
     gonality,
     gonality_pencil,
     make_curve,
-    normalize_values,
     pencil_degree,
     representative_curve,
     sheaf_degree_h0,
@@ -487,7 +486,11 @@ class TestAnalysis:
 
 class TestIsomorphism:
     def test_helpers(self):
-        assert normalize_values((5, 7, 10)) == (0, 2, 5)
+        # translation to 0, then the flip; an empty set equals only itself
+        assert equal_up_to_reversal((5, 7, 10), (0, 2, 5))
+        assert equal_up_to_reversal((7, 5, 5, 10), (12, 15, 17))
+        assert equal_up_to_reversal((), ())
+        assert not equal_up_to_reversal((), (0,)) and not equal_up_to_reversal((3,), ())
         assert equal_up_to_reversal((0, 1, 4), (0, 3, 4))
         assert not equal_up_to_reversal((0, 1, 4), (0, 2, 4))
 

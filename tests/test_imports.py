@@ -1,8 +1,8 @@
 """Stale imports and exports in the package, and its layering, found with
 the stdlib `ast`.
 
-Every name a module of `scrollcurves` imports must be used in that
-module, and the package's `__init__` must export exactly what it imports
+Every name a module of `scrollcurves`, a test or a demo imports must be
+used in that file, and the package's `__init__` must export exactly what it imports
 through `__all__`, each name of which resolves on the package.  Deleting
 a function or a type tends to leave such names behind.  The modules form
 one order (`LAYERS`), and each imports only package modules before it;
@@ -13,6 +13,9 @@ errors.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,8 @@ import scrollcurves
 
 PACKAGE = Path(scrollcurves.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 LAYERS = ("errors", "fixtures", "semigroups", "curves", "chow", "scrolls", "catalog", "cli")
 
 
@@ -59,7 +64,9 @@ def _dunder_all(tree: ast.Module) -> list[str]:
     raise AssertionError("__init__.py defines no __all__")
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS, ids=lambda p: p.stem if p.parent == PACKAGE else p.parent.name + "/" + p.stem
+)
 def test_every_import_is_used(path):
     tree = _tree(path)
     used = _used_names(tree)
@@ -99,3 +106,20 @@ def test_imports_follow_the_layers(path):
     assert not later, f"{path.name} imports {later}, at or above its layer"
     if path.stem == "chow":
         assert imported <= {"errors"}
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    """The records are named tuples and slotted classes, so a fresh
+    `import scrollcurves.cli` loads neither `dataclasses` nor the `inspect`
+    it pulls in (with `ast`, `dis` and `tokenize`), about 1 MB and 20 ms
+    per CLI call."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, scrollcurves.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"

@@ -5,7 +5,9 @@ which groups the set by residue class mod the step, so they stay
 independent of the set walk in `run_decomposition`.
 """
 
+import copy
 import math
+import pickle
 import time
 from functools import cache
 from itertools import product
@@ -25,7 +27,6 @@ from scrollcurves.scrolls import (
     _run_count,
     _run_counts,
     min_scroll_dimension,
-    minor_check,
     run_decomposition,
     scroll_structures,
     split_count,
@@ -229,6 +230,25 @@ class TestStructures:
         t = s.scroll_type
         assert t == Ambient((0, 2))
         assert t.d == 2 and t.e == 2 and t.ambient_dimension == 3
+
+    def test_structure_is_an_immutable_value(self):
+        """Equality, hash and repr read step, blocks and kappa; the scroll
+        type, kept once it is first read, changes none of them."""
+        s = ScrollStructure(1, ((0, 1, 2), (3,)), 1)
+        twin = ScrollStructure(1, ((0, 1, 2), (3,)), 1)
+        assert s.scroll_type is s.scroll_type == Ambient((0, 2))
+        assert s == twin and hash(s) == hash(twin)
+        assert s != ScrollStructure(1, ((0, 1, 2), (3,)), 3) and s != (1, ((0, 1, 2), (3,)), 1)
+        assert repr(s) == "ScrollStructure(step=1, blocks=((0, 1, 2), (3,)), kappa=1)"
+        for copied in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert copied == s and copied.scroll_type == s.scroll_type
+        with pytest.raises(AttributeError):
+            s.step = 2
+        with pytest.raises(AttributeError):
+            s._scroll_type = Ambient((1, 1))
+        with pytest.raises(AttributeError):
+            del s.blocks
+        assert (s.step, s.scroll_type) == (1, Ambient((0, 2)))
 
     def test_genus_six_threefold_row(self):
         structures = scroll_structures((0, 4, 5, 7, 8, 9), 3)
@@ -439,6 +459,29 @@ class TestSplitCount:
         assert split_count(values, (39,)) == 780
         assert len(scroll_structures(values, 39)) == 58
         assert time.perf_counter() - start < 1.0
+
+
+def minor_check(values, blocks, step: int) -> bool:
+    """Verify a proposed block structure by the rank-one matrix condition.
+
+    The blocks must partition the value set (anything else raises
+    ValueError).  Each block of size two or more contributes the exponent
+    columns (t, u) = (b[i], b[i+1]) of a two-row matrix of monomials; the
+    structure is genuine exactly when every column has drop equal to the
+    step and every 2 x 2 minor vanishes, that is t_i + u_j = t_j + u_i.
+    Once every drop is the step each column is (t, t + step), so every
+    minor vanishes and the drop test alone decides.  The tests below hold
+    every structure `scroll_structures` returns to it.
+    """
+    vals = sorted(set(int(v) for v in values))
+    flat = sorted(x for b in blocks for x in b)
+    if flat != vals:
+        raise ValueError("blocks do not partition the value set")
+    for b in blocks:
+        bs = sorted(b)
+        if any(y - x != step for x, y in zip(bs, bs[1:])):
+            return False
+    return True
 
 
 class TestMinors:

@@ -27,7 +27,6 @@ from scrollcurves.errors import (
     NotAValidKappaStar,
 )
 from scrollcurves.semigroups import (
-    MuData,
     NumericalSemigroup,
     enumerate_genus,
     eta_local,
@@ -36,7 +35,6 @@ from scrollcurves.semigroups import (
     make_semigroup,
     mu_local,
     recover_from_kappa_star,
-    semigroup_from_gaps,
     set_bits,
 )
 
@@ -116,6 +114,12 @@ def tuple_invariants(gaps) -> tuple:
     small = tuple(x for x in range(gamma + 2) if x not in gaps)
     alpha = min((x for x in small if x > 0), default=1)
     return alpha, gamma + 1, gamma, len(gaps)
+
+
+def mirrored_gaps(gaps) -> tuple[int, ...]:
+    """gamma - g over gaps g holding 1, gamma the largest: the K* that
+    `recover_from_kappa_star` mirrors back to these gaps."""
+    return tuple(max(gaps) - g for g in gaps) if gaps else ()
 
 
 def pairwise_minimal_generators(s) -> tuple[int, ...]:
@@ -230,6 +234,12 @@ def generated_semigroup(v):
     return make_semigroup(finite + list(range(v.tail_start, 2 * v.tail_start)))
 
 
+def k_closure(s):
+    """<K>, the semigroup K generates, sieved from K's tuple set: the
+    closure `mu_local` reads its delta from."""
+    return generated_semigroup(TupleValueSet(kappa_sets(s), s.beta))
+
+
 def semigroup_values(s: NumericalSemigroup) -> TupleValueSet:
     """A semigroup as a tailed set, from the complement of its gap mask
     below the conductor: the finite part the sheaf route shifts."""
@@ -332,15 +342,16 @@ class TestConstruction:
         assert hash(make_semigroup((2, 3))) == hash(make_semigroup((2, 3, 4)))
 
     def test_from_gaps_roundtrip(self):
-        s = semigroup_from_gaps((1, 2, 3, 6))
+        # the gaps (1, 2, 3, 6) are gamma - a over K* = (0, 3, 4, 5)
+        s = recover_from_kappa_star(mirrored_gaps((1, 2, 3, 6)))
         assert s == make_semigroup((4, 5, 7))
         assert s.minimal_generators == (4, 5, 7)
 
     def test_from_gaps_rejects_nonclosed(self):
-        with pytest.raises(ValueError):
-            semigroup_from_gaps((2, 3))
-        with pytest.raises(ValueError):
-            semigroup_from_gaps((1, 2, 6))
+        with pytest.raises(NotAValidKappaStar, match="2 \\+ 2 = 4 is a gap"):
+            recover_from_kappa_star(mirrored_gaps((1, 4)))
+        with pytest.raises(NotAValidKappaStar, match="3 \\+ 3 = 6 is a gap"):
+            recover_from_kappa_star(mirrored_gaps((1, 2, 6)))
 
     def test_value_set(self):
         s = make_semigroup((4, 5, 7))
@@ -396,10 +407,10 @@ class TestRoundTrips:
     @settings(max_examples=300, deadline=None)
     @given(gcd_one_generators)
     def test_sieve_gaps_and_dual_agree(self, gens):
-        """make_semigroup, then semigroup_from_gaps of its gaps, then
-        recover_from_kappa_star of the dual: one semigroup throughout."""
+        """make_semigroup, then recover_from_kappa_star of its mirrored
+        gaps, then of the dual: one semigroup throughout."""
         s = make_semigroup(gens)
-        from_gaps = semigroup_from_gaps(s.gaps)
+        from_gaps = recover_from_kappa_star(mirrored_gaps(s.gaps))
         back = recover_from_kappa_star(kappa_sets(from_gaps))
         assert s == from_gaps == back
         assert s.gap_mask == from_gaps.gap_mask == back.gap_mask
@@ -504,15 +515,16 @@ class TestKappa:
 class TestMu:
     def test_blowup_chain_golden(self):
         s = make_semigroup((4, 5, 7))
-        data = mu_local(s)
-        assert data.closure == make_semigroup((3, 4, 5))
-        assert semigroup_values(data.closure) == TupleValueSet((0,), 3)
-        assert data.mu == 1
-        # <K> is sieved from every nonzero element of K below beta, but
+        closure = k_closure(s)
+        assert closure == make_semigroup((3, 4, 5))
+        assert semigroup_values(closure) == TupleValueSet((0,), 3)
+        assert mu_local(s) == 1 == s.beta - s.delta - closure.delta
+        # <K> is sieved from every nonzero element of K below its tail, but
         # reports only its minimal generators
-        assert repr(data.closure) == "NumericalSemigroup<3, 4, 5>"
-        # a symmetric branch is its own <K>, also without the input generators
-        assert repr(mu_local(make_semigroup((2, 3, 5))).closure) == "NumericalSemigroup<2, 3>"
+        assert repr(closure) == "NumericalSemigroup<3, 4, 5>"
+        # a symmetric branch is its own <K>
+        assert k_closure(make_semigroup((2, 3, 5))) == make_semigroup((2, 3))
+        assert mu_local(make_semigroup((2, 3, 5))) == 0
 
     def test_square_fills_everything(self):
         s = make_semigroup((3, 7, 8))
@@ -520,7 +532,7 @@ class TestMu:
         assert (k_star, s.beta) == ((0, 1, 3, 4), 6)
         chain = tuple_stable_minkowski_power(TupleValueSet(k_star, s.beta))
         assert chain == TupleValueSet((), 0)
-        assert mu_local(s) == MuData(2, NumericalSemigroup(0))
+        assert mu_local(s) == 2 and k_closure(s) == NumericalSemigroup(0)
 
     def test_mu_frozen_examples(self):
         cases = {
@@ -538,30 +550,31 @@ class TestMu:
             (3, 10, 11): 3,
         }
         for gens, expected in cases.items():
-            assert mu_local(make_semigroup(gens)).mu == expected, gens
+            assert mu_local(make_semigroup(gens)) == expected, gens
 
     def test_mu_vanishes_exactly_for_symmetric(self):
         for genus in range(7):
             for s in enumerate_genus(genus):
-                mu = mu_local(s).mu
+                mu = mu_local(s)
                 assert (mu == 0) == is_symmetric(s)
 
     def test_chain_mu_vanishes_on_symmetric_semigroups(self):
         """The tuple Minkowski chain gives mu = 0 on every symmetric
-        semigroup of genus <= 10, which `mu_local` returns, with S as its
-        closure, without a sieve."""
+        semigroup of genus <= 10, which `mu_local` returns without a
+        sieve; S is its own <K> there."""
         symmetric = [s for s in semigroups_up_to(10) if is_symmetric(s)]
         # 1, 1, 1, 2, 3, 3, 6, 8, 7, 15, 20 for genus 0 to 10
         assert len(symmetric) == 67
         for s in symmetric:
             assert eta_local(s) == 0
             assert tuple_mu_local(s)[0] == 0, s.gaps
-            assert mu_local(s) == MuData(0, s), s.gaps
+            assert mu_local(s) == 0 and k_closure(s) == s, s.gaps
 
     def test_semigroup_sits_inside_stabilizer(self):
         for genus in range(6):
             for s in enumerate_genus(genus):
-                t = mu_local(s).closure
+                t = k_closure(s)
+                assert mu_local(s) == s.beta - s.delta - t.delta, s.gaps
                 for a in [a for a in range(s.beta + 1) if a in s] + list(kappa_sets(s)):
                     assert a in t
 
@@ -569,31 +582,32 @@ class TestMu:
         for genus in range(8):
             for s in enumerate_genus(genus):
                 if eta_local(s) == 1:
-                    assert mu_local(s).mu == 1
+                    assert mu_local(s) == 1
 
     def test_mu_matches_tuple_route(self):
-        """mu and the closure <K> on every semigroup of genus <= 10: <K> is
-        both the tuple stable power of K and that power's stabilizer."""
+        """mu on every semigroup of genus <= 10 against the tuple route and
+        against (beta - delta) - delta(<K>), with <K> rebuilt from K: <K>
+        is both the tuple stable power of K and that power's stabilizer."""
         count = 0
         for genus in range(11):
             for s in enumerate_genus(genus):
                 mu, t, stable = tuple_mu_local(s)
-                data = mu_local(s)
-                assert isinstance(data, MuData)
-                assert data.mu == mu, s
-                assert semigroup_values(data.closure) == stable, s
-                assert semigroup_values(data.closure) == t, s
+                closure = k_closure(s)
+                assert type(mu_local(s)) is int
+                assert mu_local(s) == mu == s.beta - s.delta - closure.delta, s
+                assert semigroup_values(closure) == stable, s
+                assert semigroup_values(closure) == t, s
                 count += 1
         assert count == 478
 
     def test_stabilizer_of_everything(self):
         """N is symmetric, K = N is its own stable power and stabilizer,
-        and `mu_local` returns N as the closure."""
+        so N is its own <K> and `mu_local` returns 0."""
         everything = TupleValueSet((), 0)
         assert tuple_stable_minkowski_power(everything) == everything
         assert tuple_stabilizer(everything) == everything
         n = NumericalSemigroup(0)
-        assert mu_local(n) == MuData(0, n)
+        assert mu_local(n) == 0 and k_closure(n) == n
 
 
 class TestRecovery:
