@@ -3,9 +3,9 @@
 The Chow ring of a smooth d-dimensional scroll of degree e is generated by
 the hyperplane class H and the fiber class F subject to F^2 = 0,
 H^(d+1) = 0, H^d F = 0 and H^d = e H^(d-1) F.  Elements are kept in normal
-form as dictionaries mapping (i, j) to the coefficient of H^i F^j;
-`chow_mul` drops the vanishing monomials of a product as it forms them and
-returns exactly what `chow_element` makes of the raw product.  The
+form as dictionaries mapping (i, j) to the coefficient of H^i F^j, and
+`chow_element` is the one normal form: `chow_mul` drops the vanishing
+monomials of a product as it forms them and hands the rest to it.  The
 coefficients are integers, as are H, F, the Chern classes and every divisor
 and bundle class; a coefficient is a Fraction only where an input had one.
 Each rational value (a closed form, or a ring route's Todd and Chern
@@ -147,24 +147,14 @@ def chow_element(amb: Ambient, coefficients) -> ChowElement:
     return out
 
 
-def hyperplane(amb: Ambient) -> ChowElement:
-    return chow_element(amb, {(1, 0): 1})
-
-
-def fiber(amb: Ambient) -> ChowElement:
-    return chow_element(amb, {(0, 1): 1})
-
-
 def divisor_element(amb: Ambient, c: DivisorClass) -> ChowElement:
     return chow_element(amb, {(1, 0): c.h, (0, 1): c.f})
 
 
 def chow_mul(amb: Ambient, x: ChowElement, y: ChowElement) -> ChowElement:
-    """The product in normal form, equal to `chow_element` of the raw
-    product.  Monomials that vanish (F^2, H^(d+1), H^d F) are dropped as
-    they are formed; the at most 2d + 1 surviving sums are then coerced and
-    H^d is folded into e H^(d-1) F, as `chow_element` does."""
-    _require_smooth(amb)
+    """The product in normal form: monomials that vanish (F^2, H^(d+1),
+    H^d F) are dropped as they are formed, and `chow_element` folds the at
+    most 2d + 1 surviving sums."""
     d = amb.d
     raw: ChowElement = {}
     for (i1, j1), c1 in x.items():
@@ -173,19 +163,7 @@ def chow_mul(amb: Ambient, x: ChowElement, y: ChowElement) -> ChowElement:
             if j < 2 and (i < d or (i == d and j == 0)):
                 key = (i, j)
                 raw[key] = raw.get(key, 0) + c1 * c2
-    out: ChowElement = {}
-    for key, c in raw.items():
-        if c == 0:
-            continue
-        if not isinstance(c, int):
-            c = Fraction(c)
-        if key[0] == d:
-            key, c = (d - 1, 1), c * amb.e
-        out[key] = out.get(key, 0) + c
-    top = (d - 1, 1)
-    if out.get(top, 1) == 0:
-        del out[top]
-    return out
+    return chow_element(amb, raw)
 
 
 def chow_degree(amb: Ambient, x: ChowElement) -> int | Fraction:
@@ -289,10 +267,7 @@ def euler_characteristic_chow(amb: Ambient, c: DivisorClass) -> Fraction:
     tangent = _tangent(amb)
     dd = divisor_element(amb, c)
     if amb.d == 2:
-        shifted = chow_element(
-            amb, {(1, 0): c.h + 2, (0, 1): c.f + 2 - amb.e}
-        )
-        main = chow_degree(amb, chow_mul(amb, dd, shifted))
+        main = chow_degree(amb, chow_mul(amb, dd, _add(dd, tangent.c1)))
         return Fraction(6 * main + tangent.todd, 12)
     d2 = chow_mul(amb, dd, dd)
     d3 = chow_mul(amb, d2, dd)
@@ -310,11 +285,6 @@ def _add(x: ChowElement, y: ChowElement) -> ChowElement:
     for k, v in y.items():
         out[k] = out.get(k, 0) + v
     return {k: v for k, v in out.items() if v != 0}
-
-
-def _scale(x: ChowElement, s) -> ChowElement:
-    """s times an element in normal form (no zero coefficients)."""
-    return {k: v * s for k, v in x.items()} if s != 0 else {}
 
 
 def euler_characteristic(amb: Ambient, c: DivisorClass) -> int:
@@ -360,11 +330,12 @@ def _bundle_chi_dual_fraction(amb: Ambient, b: RankTwoBundleClass) -> Fraction:
     c1 = chow_element(amb, {(1, 0): u, (0, 1): v})
     c2 = chow_element(amb, {(2, 0): w, (1, 1): z})
     c1sq = chow_mul(amb, c1, c1)
+    c1sq_minus_2c2 = _add(c1sq, {k: -2 * v for k, v in c2.items()})
     tangent = _tangent(amb)
     ring = Fraction(
         2 * tangent.todd
         - 2 * chow_degree(amb, chow_mul(amb, c1, tangent.c1sq_plus_c2))
-        + 6 * chow_degree(amb, chow_mul(amb, _add(c1sq, _scale(c2, -2)), tangent.c1))
+        + 6 * chow_degree(amb, chow_mul(amb, c1sq_minus_2c2, tangent.c1))
         - 4 * chow_degree(amb, chow_mul(amb, c1sq, c1))
         + 12 * chow_degree(amb, chow_mul(amb, c1, c2)),
         24,
@@ -411,14 +382,17 @@ def pa_from_bundle(amb: Ambient, b: RankTwoBundleClass) -> int:
 def genus_on_surface(degree: int, n: int, ell: int) -> int:
     """Arithmetic genus of a degree-`degree` curve on a smooth surface
     scroll spanning P^n, meeting a fiber ell times (see `genus_on_cone`
-    for the cone over a rational normal curve)."""
+    for the cone over a rational normal curve).
+
+    Twice the genus less 2 is (2 ell - 2) degree - (n - 1) ell^2 +
+    (n - 3) ell, always even, so the genus is an integer: the first term is
+    even, and so is the rest, termwise for even ell and congruent to
+    (n - 1) - (n - 3) = 2 mod 2 for odd ell.  The genus is checked against
+    chi of the ideal sheaf; a negative one means no such curve, and raises
+    NonIntegralGenus."""
     if degree < 1 or n < 3 or ell < 1:
         raise ValueError("a surface scroll curve needs degree >= 1, n >= 3, ell >= 1")
     twice = (2 * ell - 2) * degree - (n - 1) * ell ** 2 + (n - 3) * ell
-    if twice % 2 != 0:
-        raise NonIntegralGenus(
-            f"degree {degree}, span {n}, fiber count {ell} give genus {Fraction(twice + 2, 2)}"
-        )
     pa = (twice + 2) // 2
     cross = euler_characteristic(
         Ambient.balanced(2, n - 1), DivisorClass(-ell, -(degree - ell * (n - 1)))
@@ -432,14 +406,14 @@ def genus_on_surface(degree: int, n: int, ell: int) -> int:
 
 def genus_on_cone(degree: int, n: int) -> int:
     """Arithmetic genus of a degree-`degree` curve on the cone over a
-    rational normal curve spanning P^n."""
+    rational normal curve spanning P^n.
+
+    With q = ceil(degree / (n - 1)) the genus is (q - 1)(degree - 1) -
+    q (q - 1)(n - 1) / 2, an integer since q (q - 1) is even, and never
+    negative: it is (q - 1)(degree - 1 - q (n - 1) / 2), which is 0 for
+    q = 1, and for q >= 2 degree >= (q - 1)(n - 1) + 1 makes the second
+    factor at least (q - 2)(n - 1) / 2 >= 0."""
     if degree < 1 or n < 3:
         raise ValueError("a curve on a cone needs degree >= 1, n >= 3")
     q = ceil(Fraction(degree, n - 1))
-    twice_term = q * (q - 1) * (n - 1)
-    if twice_term % 2 != 0:
-        raise NonIntegralGenus(f"cone formula gives a non-integer for ({degree}, {n})")
-    pa = (q - 1) * (degree - 1) - twice_term // 2
-    if pa < 0:
-        raise NonIntegralGenus(f"inputs give negative genus {pa}")
-    return pa
+    return (q - 1) * (degree - 1) - q * (q - 1) * (n - 1) // 2

@@ -128,15 +128,22 @@ def _cmd_gonality(args) -> int:
 
 
 def _cmd_scrolls(args) -> int:
+    """Print the scroll structures of each dimension up to --max-dim,
+    refused first when their block splits pass SPLIT_LIMIT.  The splits,
+    which grow combinatorially with the dimension, are summed one dimension
+    at a time, so a huge --max-dim is refused within a few dimensions."""
     curve = make_curve(args.exponents, SCHUR_BOUND_LIMIT)
     canon = canonical_exponents(curve)
     msd = min_scroll_dimension(canon)
     depths = range(msd, min(args.max_dim, len(canon)) + 1)
-    if split_count(canon, depths) > SPLIT_LIMIT:
-        raise BoundExceeded(
-            f"scroll structures up to dimension {depths[-1]} take more than "
-            f"{SPLIT_LIMIT} block splits"
-        )
+    splits = 0
+    for d in depths:
+        splits += split_count(canon, (d,))
+        if splits > SPLIT_LIMIT:
+            raise BoundExceeded(
+                f"scroll structures up to dimension {depths[-1]} take more than "
+                f"{SPLIT_LIMIT} block splits"
+            )
     print("canonical exponents:", " ".join(map(str, canon)))
     print("min scroll dimension:", msd)
     for d in depths:

@@ -29,6 +29,7 @@ from .semigroups import (
     make_semigroup,
     mu_local,
     reverse_bits,
+    schur_bound,
     set_bits,
 )
 
@@ -36,36 +37,23 @@ NATURALS = NumericalSemigroup(0)
 
 
 class MonomialCurve:
-    """A monomial curve, lazily exposing its two branch semigroups.
+    """A monomial curve with its two branch semigroups.
 
     s_zero is generated by the exponents themselves (values of functions at
     t = 0), s_infinity by the drops from the top exponent (values at
-    t = infinity, where 1/t is the local parameter); either is sieved only
-    when not passed in.  The raw canonical sections are kept too, once
-    `canonical_section_exponents` has computed them.
+    t = infinity, where 1/t is the local parameter); both are built with
+    the curve, by `make_curve` or `representative_curve`.  The raw
+    canonical sections are kept too, once `canonical_section_exponents`
+    has computed them.
     """
 
-    __slots__ = ("exponents", "_s_zero", "_s_infinity", "_canonical")
+    __slots__ = ("exponents", "s_zero", "s_infinity", "_canonical")
 
-    def __init__(self, exponents: tuple[int, ...], s_zero=None, s_infinity=None):
+    def __init__(self, exponents: tuple[int, ...], s_zero, s_infinity):
         self.exponents = exponents
-        self._s_zero = s_zero
-        self._s_infinity = s_infinity
+        self.s_zero = s_zero
+        self.s_infinity = s_infinity
         self._canonical = None
-
-    @property
-    def s_zero(self) -> NumericalSemigroup:
-        if self._s_zero is None:
-            self._s_zero = make_semigroup(self.exponents)
-        return self._s_zero
-
-    @property
-    def s_infinity(self) -> NumericalSemigroup:
-        if self._s_infinity is None:
-            top = self.exponents[-1]
-            drops = [top - a for a in self.exponents[:-1]] + [top]
-            self._s_infinity = make_semigroup(drops)
-        return self._s_infinity
 
     @property
     def genus(self) -> int:
@@ -95,12 +83,12 @@ SCHUR_BOUND_LIMIT = 50_000
 
 
 def make_curve(exponents, schur_limit: int | None = None) -> MonomialCurve:
-    """Validate exponents and build the curve.
+    """Validate exponents and build the curve with both branches sieved.
 
-    Given a schur_limit, raise BoundExceeded, before any semigroup is
-    built, when Schur's bound (alpha - 1)(max - 1) + alpha on a branch
-    conductor (the cap of `make_semigroup`) passes it; at infinity the
-    generators are the drops from the top exponent.
+    Given a schur_limit, raise BoundExceeded, before either branch is
+    sieved, when the `schur_bound` of a branch (the cap of
+    `make_semigroup`) passes it; at infinity the generators are the drops
+    from the top exponent.
 
     >>> make_curve((4, 5, 7, 8)).genus
     4
@@ -113,15 +101,16 @@ def make_curve(exponents, schur_limit: int | None = None) -> MonomialCurve:
     if math.gcd(*exps) != 1:
         raise GcdNotOne(f"exponents {exps} have gcd {math.gcd(*exps)}")
     top = exps[-1]
-    low_drop = top - exps[-2] if len(exps) > 1 else top
-    for name, alpha in (("at t = 0", exps[0]), ("at infinity", low_drop)):
-        bound = (alpha - 1) * (top - 1) + alpha
-        if schur_limit is not None and bound > schur_limit:
-            raise BoundExceeded(
-                f"the branch {name} has Schur bound {bound} on its conductor, "
-                f"past the limit {schur_limit}"
-            )
-    return MonomialCurve(exps)
+    drops = [top - a for a in exps[:-1]] + [top]
+    if schur_limit is not None:
+        for name, alpha in (("at t = 0", exps[0]), ("at infinity", min(drops))):
+            bound = schur_bound(alpha, top)
+            if bound > schur_limit:
+                raise BoundExceeded(
+                    f"the branch {name} has Schur bound {bound} on its conductor, "
+                    f"past the limit {schur_limit}"
+                )
+    return MonomialCurve(exps, make_semigroup(exps), make_semigroup(drops))
 
 
 def representative_curve(s: NumericalSemigroup) -> MonomialCurve:
@@ -132,8 +121,9 @@ def representative_curve(s: NumericalSemigroup) -> MonomialCurve:
     drops then generate everything).  Starting from the minimal generators,
     either the predecessor of the top generator already lies in the
     semigroup and is inserted, or successive semigroup elements above the
-    top are appended until two consecutive ones appear.  The curve carries
-    s at t = 0 and N at infinity, so no branch is sieved from its exponents.
+    top are appended until two consecutive ones appear.  The exponents are
+    increasing and, as generators of s, of gcd 1, so the curve is built
+    directly, carrying s at t = 0 and N at infinity: no branch is sieved.
     """
     # S != N has at least two minimal generators
     exps = list(s.minimal_generators) if s.delta else [1, 2]
@@ -144,7 +134,7 @@ def representative_curve(s: NumericalSemigroup) -> MonomialCurve:
         while x not in s:
             x += 1
         exps.append(x)
-    return MonomialCurve(make_curve(exps).exponents, s, NATURALS)
+    return MonomialCurve(tuple(exps), s, NATURALS)
 
 
 def canonical_section_exponents(curve: MonomialCurve) -> tuple[int, ...]:

@@ -1,7 +1,17 @@
 """Exception hierarchy shared across the package.
 
-Everything raised on purpose derives from ScrollCurvesError so callers can
-catch one type at the boundary (the command line driver does exactly that).
+Two kinds of error are raised on purpose.  An argument outside the domain
+a function is written for raises a plain ValueError: a nonpositive
+semigroup generator or negative genus, an invalid or singular scroll, a
+formula input below its range, an empty exponent set or an out-of-range
+block count, an unknown render format.  Everything else derives from
+ScrollCurvesError, one subclass per condition: input the mathematics
+rules out (no generators, exponents not increasing or not coprime, a zero
+pencil exponent, genus zero, a set that is no K*, a genus that is not a
+nonnegative integer), input past a size bound, a scroll dimension or class
+the formulas do not cover, an unknown fixture name, and disagreeing
+computation paths.  The command line interface catches both types and
+exits with code 2.
 """
 
 from __future__ import annotations
@@ -36,7 +46,8 @@ class NotAValidKappaStar(ScrollCurvesError):
 
 
 class BoundExceeded(ScrollCurvesError):
-    """Genus enumeration was asked to go past its configured bound."""
+    """An input past a size bound: the genus enumeration bound, Schur's
+    bound on a branch conductor, or the block splits of `scrolls`."""
 
 
 class NotTopDimensional(ScrollCurvesError):

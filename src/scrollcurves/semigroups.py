@@ -143,6 +143,18 @@ class NumericalSemigroup:
         return set_bits(elements & ~sumset(elements, elements))
 
 
+def schur_bound(alpha: int, largest: int) -> int:
+    """Schur's bound (alpha - 1)(largest - 1) + alpha for generators of
+    minimum alpha and maximum `largest`: the conductor is at most
+    (alpha - 1)(largest - 1), so the first run of alpha elements ends below
+    the bound.
+
+    >>> schur_bound(3, 5)
+    11
+    """
+    return (alpha - 1) * (largest - 1) + alpha
+
+
 def make_semigroup(generators) -> NumericalSemigroup:
     """Build the numerical semigroup generated by the given integers.
 
@@ -154,8 +166,8 @@ def make_semigroup(generators) -> NumericalSemigroup:
     each g, so i is reachable exactly when the two masks meet.  The stream
     stops at the first run of alpha (the multiplicity) reachable integers,
     which certifies the gap set: adding alpha to it reaches every larger
-    integer.  Reaching Schur's bound (alpha - 1)(max - 1) + alpha on where
-    such a run ends, without one, raises BoundExceeded.
+    integer.  Reaching `schur_bound` on where such a run ends, without one,
+    raises BoundExceeded.
 
     >>> make_semigroup((4, 5, 7)).gaps
     (1, 2, 3, 6)
@@ -170,7 +182,7 @@ def make_semigroup(generators) -> NumericalSemigroup:
     if math.gcd(*gens) != 1:
         raise GcdNotOne(f"generators {gens} have gcd {math.gcd(*gens)}")
     alpha = gens[0]
-    cap = (alpha - 1) * (gens[-1] - 1) + alpha
+    cap = schur_bound(alpha, gens[-1])
     taps = bitmask(g - 1 for g in gens)
     keep = (1 << gens[-1]) - 1
     recent, run, i = 1, 1, 0

@@ -32,11 +32,9 @@ from scrollcurves.chow import (
     divisor_element,
     euler_characteristic,
     euler_characteristic_chow,
-    fiber,
     genus_on_cone,
     genus_on_surface,
     h0_class,
-    hyperplane,
     pa_from_bundle,
 )
 from scrollcurves.catalog import build_catalog, surface_scroll_report, threefold_bundle_report
@@ -256,7 +254,10 @@ class TestAmbient:
     def test_ops_require_smooth(self):
         cone = Ambient((0, 3))
         with pytest.raises(ValueError):
-            hyperplane(cone)
+            chow_element(cone, {(1, 0): 1})
+        # chow_mul folds its product through chow_element, which refuses
+        with pytest.raises(ValueError, match="smooth scroll"):
+            chow_mul(cone, {(1, 0): 1}, {(0, 1): 1})
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -306,34 +307,35 @@ class TestRingNormalForm:
 
     def test_fiber_squares_to_zero(self):
         amb = Ambient((2, 2))
-        f = fiber(amb)
+        f = chow_element(amb, {(0, 1): 1})
         assert chow_mul(amb, f, f) == {}
 
     def test_hyperplane_cube_degree(self):
         amb = Ambient((1, 1, 1))
-        h = hyperplane(amb)
+        h = chow_element(amb, {(1, 0): 1})
         h2 = chow_mul(amb, h, h)
         assert chow_degree(amb, chow_mul(amb, h2, h)) == 3
 
     def test_hyperplane_square_fiber(self):
         amb = Ambient((1, 1, 1))
-        h = hyperplane(amb)
+        h = chow_element(amb, {(1, 0): 1})
         h2 = chow_mul(amb, h, h)
-        assert chow_degree(amb, chow_mul(amb, h2, fiber(amb))) == 1
+        assert chow_degree(amb, chow_mul(amb, h2, chow_element(amb, {(0, 1): 1}))) == 1
 
     def test_surface_divisor_product(self):
         amb = Ambient.balanced(2, 4)
         d = divisor_element(amb, DivisorClass(2, 3))
-        assert chow_degree(amb, chow_mul(amb, d, hyperplane(amb))) == 11
+        assert chow_degree(amb, chow_mul(amb, d, chow_element(amb, {(1, 0): 1}))) == 11
 
     def test_degree_rejects_mixed(self):
         amb = Ambient((1, 1))
         with pytest.raises(NotTopDimensional):
-            chow_degree(amb, hyperplane(amb))
+            chow_degree(amb, chow_element(amb, {(1, 0): 1}))
 
     def test_mul_degree_none_when_not_top(self):
         amb = Ambient((1, 1, 1))
-        product = chow_mul(amb, hyperplane(amb), hyperplane(amb))
+        h = chow_element(amb, {(1, 0): 1})
+        product = chow_mul(amb, h, h)
         assert product == {(2, 0): Fraction(1)}
         with pytest.raises(NotTopDimensional):
             chow_degree(amb, product)
@@ -532,7 +534,7 @@ class TestIntegerRingOracle:
     def test_integer_degree_is_an_int(self, amb, h1, f1, h2, f2):
         x = divisor_element(amb, DivisorClass(h1, f1))
         for _ in range(amb.d - 2):
-            x = chow_mul(amb, x, hyperplane(amb))
+            x = chow_mul(amb, x, chow_element(amb, {(1, 0): 1}))
         product = chow_mul(amb, x, divisor_element(amb, DivisorClass(h2, f2)))
         degree = chow_degree(amb, product)
         assert type(degree) is int
@@ -619,6 +621,26 @@ class TestGenusFormulas:
 
     def test_elliptic_on_quadric(self):
         assert genus_on_surface(4, 3, 2) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 400), st.integers(3, 80), st.integers(1, 30))
+    def test_genus_formulas_are_integral_and_the_cone_nonnegative(self, degree, n, ell):
+        """Twice the surface genus less 2 is even, and the cone's genus is an
+        integer and never negative, so neither formula has a parity or
+        (on the cone) a sign to refuse; only a negative surface genus is."""
+        twice = (2 * ell - 2) * degree - (n - 1) * ell ** 2 + (n - 3) * ell
+        assert twice % 2 == 0
+        surface = Fraction(twice + 2, 2)
+        if surface < 0:
+            with pytest.raises(NonIntegralGenus, match="negative genus"):
+                genus_on_surface(degree, n, ell)
+        else:
+            assert genus_on_surface(degree, n, ell) == surface
+        q = -(-degree // (n - 1))
+        cone = (q - 1) * (degree - 1) - Fraction(q * (q - 1) * (n - 1), 2)
+        assert cone.denominator == 1 and cone >= 0
+        pa = genus_on_cone(degree, n)
+        assert type(pa) is int and pa == cone
 
     def test_validation(self):
         with pytest.raises(ValueError):

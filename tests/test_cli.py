@@ -166,6 +166,26 @@ class TestSingleValueCommands:
         )
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "exponents, top", [("3,200", 19701), ("156,311", 47895)]
+    )
+    def test_scrolls_with_a_huge_max_dim_is_refused_fast(self, exponents, top):
+        # every dimension from the minimum (198 for 3,200) up to the genus:
+        # the splits pass the limit within a few dimensions, so the count
+        # stops there instead of summing over all of them for minutes
+        proc = subprocess.run(
+            [sys.executable, "-m", "scrollcurves.cli", "scrolls",
+             "--exponents", exponents, "--max-dim", "100000"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: scroll structures up to dimension {top} take more than "
+            "1000000 block splits\n"
+        )
+
     def test_scrolls_under_the_split_limit(self, capsys):
         # 324,762 splits, 704 structures
         code, out, _ = run_cli(
