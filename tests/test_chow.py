@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scrollcurves import chow as chow_module
 from scrollcurves.chow import (
     Ambient,
     DivisorClass,
@@ -42,6 +43,7 @@ from scrollcurves.curves import analyze, make_curve
 from scrollcurves.errors import (
     NonIntegralGenus,
     NotTopDimensional,
+    PathsDisagree,
     UnsupportedDimension,
 )
 from scrollcurves.scrolls import ScrollStructure, scroll_structures
@@ -606,6 +608,87 @@ class TestTangentTerms:
 
     def test_equal_scrolls_share_one_entry(self):
         assert _tangent(Ambient((2, 1, 1))) is _tangent(Ambient((1, 1, 2)))
+
+
+class TestErrorTexts:
+    """The exact texts of the refusals: a disagreement is forced by
+    switching one route off, and every value is printed reduced."""
+
+    def off_by_one_todd(self, monkeypatch):
+        real = chow_module._tangent
+        monkeypatch.setattr(
+            chow_module, "_tangent", lambda amb: real(amb)._replace(todd=real(amb).todd + 1)
+        )
+
+    @pytest.mark.parametrize(
+        "dims, c, text",
+        [
+            (
+                (1, 1, 1),
+                DivisorClass(1, 1),
+                "chi closed form 9 vs ring evaluation 217/24 on (1, 1, 1), "
+                "class DivisorClass(h=1, f=1)",
+            ),
+            (
+                (1, 2),
+                DivisorClass(1, 0),
+                "chi closed form 5 vs ring evaluation 61/12 on (1, 2), "
+                "class DivisorClass(h=1, f=0)",
+            ),
+        ],
+    )
+    def test_chi_routes_disagree(self, monkeypatch, dims, c, text):
+        self.off_by_one_todd(monkeypatch)
+        with pytest.raises(PathsDisagree) as info:
+            euler_characteristic(Ambient(dims), c)
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize(
+        "bundle, text",
+        [
+            (RankTwoBundleClass(2, 0, 1, 0), "bundle chi closed form 0 vs ring evaluation 1/12"),
+            (RankTwoBundleClass(2, 1, 1, 0), "bundle chi closed form 1/2 vs ring evaluation 7/12"),
+        ],
+    )
+    def test_bundle_chi_routes_disagree(self, monkeypatch, bundle, text):
+        self.off_by_one_todd(monkeypatch)
+        with pytest.raises(PathsDisagree) as info:
+            pa_from_bundle(Ambient((1, 1, 1)), bundle)
+        assert str(info.value) == text
+
+    def test_genus_paths_disagree(self, monkeypatch):
+        """The Chow-product path reads K + c1(E) with one fiber too many."""
+        amb, bundle = Ambient((1, 1, 1)), RankTwoBundleClass(2, 0, 1, 0)
+        assert pa_from_bundle(amb, bundle) == 0
+        real = chow_module.chow_element
+
+        def shifted(amb, coefficients):
+            if coefficients == {(1, 0): -1, (0, 1): 1}:
+                coefficients = {(1, 0): -1, (0, 1): 2}
+            return real(amb, coefficients)
+
+        monkeypatch.setattr(chow_module, "chow_element", shifted)
+        with pytest.raises(PathsDisagree) as info:
+            pa_from_bundle(amb, bundle)
+        assert str(info.value) == "genus paths disagree: 0, 0, 1/2"
+
+    def test_surface_genus_disagrees_with_chi(self, monkeypatch):
+        real = chow_module.euler_characteristic
+        monkeypatch.setattr(chow_module, "euler_characteristic", lambda amb, c: real(amb, c) + 1)
+        with pytest.raises(PathsDisagree) as info:
+            genus_on_surface(3, 3, 1)
+        assert str(info.value) == "genus formula 0 vs chi route 1"
+
+    def test_non_integral_texts(self):
+        with pytest.raises(NonIntegralGenus) as info:
+            pa_from_bundle(Ambient((1, 1, 1)), RankTwoBundleClass(2, 1, 1, 0))
+        assert str(info.value) == (
+            "bundle data RankTwoBundleClass(u=2, v=1, w=1, z=0) yields genus 1/2; "
+            "no such curve exists"
+        )
+        with pytest.raises(NonIntegralGenus) as info:
+            euler_characteristic(Ambient((1, 1)), DivisorClass(Fraction(1, 2), 0))
+        assert str(info.value) == "chi(DivisorClass(h=Fraction(1, 2), f=0)) = 9/4 is not an integer"
 
 
 class TestGenusFormulas:

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from scrollcurves import chow as chow_module
 from scrollcurves import cli as cli_module
 from scrollcurves import curves as curves_module
 from scrollcurves.cli import main
@@ -336,6 +337,34 @@ class TestFormula:
             "--w", "4", "--z", "-2", capsys=capsys,
         )
         assert (code, out.strip()) == (0, "6")
+
+    def test_pa_bundle_non_integral_text(self, capsys):
+        code, out, err = run_cli(
+            "formula", "pa-bundle", "--e", "3", "--u", "2", "--v", "1",
+            "--w", "1", "--z", "0", capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: bundle data RankTwoBundleClass(u=2, v=1, w=1, z=0) yields genus 1/2; "
+            "no such curve exists\n"
+        )
+
+    def test_disagreeing_routes_text(self, capsys, monkeypatch):
+        """A forced disagreement of the chi routes exits 2 with its values
+        reduced."""
+        real = chow_module._tangent
+        monkeypatch.setattr(
+            chow_module, "_tangent", lambda amb: real(amb)._replace(todd=real(amb).todd + 1)
+        )
+        code, out, err = run_cli(
+            "formula", "chi", "--d", "3", "--e", "3", "--h", "1", "--f", "1",
+            capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: chi closed form 9 vs ring evaluation 217/24 on (1, 1, 1), "
+            "class DivisorClass(h=1, f=1)\n"
+        )
 
     def test_chi_rejects_dimension(self, capsys):
         code, _, err = run_cli(
