@@ -8,18 +8,21 @@ form as dictionaries mapping (i, j) to the coefficient of H^i F^j, and
 monomials of a product as it forms them and hands the rest to it.  The
 coefficients are integers, as are H, F, the Chern classes and every divisor
 and bundle class; a coefficient is a Fraction only where an input had one.
-Each rational value (a closed form, or a ring route's Todd and Chern
-character denominators 2, 6, 12 and 24) is one Fraction built at the end
-from an integer numerator over a fixed denominator.
 A scroll's dimension d and degree e are set once, when its `Ambient` (a
-small immutable slotted class, hashed by its type) is built, and its
-tangent terms (c1, c2, c1^2 + c2 and the Todd degree) are formed once per
-scroll, through the ring, and shared by both ring routes.  On top of the
-ring sit the closed-form Euler characteristics for surfaces and
-threefolds, rank-2 bundle computations and arithmetic-genus formulas;
-divisor and bundle classes are named tuples.
+small immutable slotted class, hashed by its type) is built;
+`Ambient.balanced` hands out one shared scroll per (d, e), and the tangent
+terms (c1, c2, c1^2 + c2 and the Todd degree) are formed once per scroll,
+through the ring, and shared by both ring routes.  On top of the ring sit
+the closed-form Euler characteristics for surfaces and threefolds, rank-2
+bundle computations and arithmetic-genus formulas; divisor and bundle
+classes are named tuples.
+Every closed form and ring route is an integer numerator over its
+dimension's fixed denominator, 12 on a surface and 24 on a threefold (the
+Todd and Chern character denominators 2, 6, 12 and 24 all divide it).
 Every quantity with more than one natural derivation is computed along all
-of them and compared exactly.
+of them, the numerators are compared exactly, a result is an integer when
+its numerator is divisible, and a Fraction is built only for the reduced
+value an error prints.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, ceil
+from math import comb
 from typing import NamedTuple
 
 from .errors import (
@@ -86,9 +89,11 @@ class Ambient:
         return self.dims[0] >= 1
 
     @classmethod
+    @lru_cache(maxsize=256, typed=True)
     def balanced(cls, d: int, e: int) -> "Ambient":
         """The scroll of dimension d and degree e with dims as equal as
-        possible; d must be at least 1."""
+        possible; d must be at least 1.  Each (d, e) gets one shared
+        scroll, from a bounded cache whose keys keep the argument types."""
         if d < 1:
             raise ValueError(f"a scroll needs dimension d >= 1, got {d}")
         base, extra = divmod(e, d)
@@ -239,45 +244,45 @@ def _tangent(amb: Ambient) -> _Tangent:
     return _Tangent(c1, c2, _add(c1sq, c2), todd)
 
 
-def _chi_closed_form(amb: Ambient, c: DivisorClass) -> Fraction:
-    """chi(O(hH + fF)) as an integer polynomial over 2 (d = 2) or 6 (d = 3)."""
+def _chi_closed_numerator(amb: Ambient, c: DivisorClass) -> int:
+    """12 chi(O(hH + fF)) on a surface, 24 chi on a threefold, by the
+    closed form: an integer polynomial over 2 (d = 2) or 6 (d = 3)."""
     h, f, e = c.h, c.f, amb.e
     if amb.d == 2:
-        return Fraction(2 + 2 * h + 2 * f + 2 * h * f + e * h * (h + 1), 2)
+        return 6 * (2 + 2 * h + 2 * f + 2 * h * f + e * h * (h + 1))
     if amb.d == 3:
-        return Fraction(
+        return 4 * (
             6
             + (2 * e + 9) * h
             + 6 * f
             + 3 * (e + 1) * h ** 2
             + 9 * h * f
             + e * h ** 3
-            + 3 * h ** 2 * f,
-            6,
+            + 3 * h ** 2 * f
         )
     raise UnsupportedDimension(f"closed-form chi needs d in {{2, 3}}, got d={amb.d}")
 
 
-def euler_characteristic_chow(amb: Ambient, c: DivisorClass) -> Fraction:
-    """Euler characteristic evaluated through the Chow ring (the
-    Riemann-Roch expansion), as an independent route to the closed form:
-    the integer degrees of the expansion over their common denominator,
-    12 for surfaces and 24 for threefolds."""
-    _require_smooth(amb)
+def _chi_ring_numerator(amb: Ambient, c: DivisorClass) -> int:
+    """12 chi or 24 chi through the Chow ring (the Riemann-Roch
+    expansion), as an independent route to the closed form: the integer
+    degrees of the expansion over their common denominator."""
     tangent = _tangent(amb)
     dd = divisor_element(amb, c)
     if amb.d == 2:
-        main = chow_degree(amb, chow_mul(amb, dd, _add(dd, tangent.c1)))
-        return Fraction(6 * main + tangent.todd, 12)
+        return 6 * chow_degree(amb, chow_mul(amb, dd, _add(dd, tangent.c1))) + tangent.todd
     d2 = chow_mul(amb, dd, dd)
     d3 = chow_mul(amb, d2, dd)
-    return Fraction(
+    return (
         4 * chow_degree(amb, d3)
         + 6 * chow_degree(amb, chow_mul(amb, d2, tangent.c1))
         + 2 * chow_degree(amb, chow_mul(amb, dd, tangent.c1sq_plus_c2))
-        + tangent.todd,
-        24,
+        + tangent.todd
     )
+
+
+# the common denominator of the chi numerators, by scroll dimension
+_CHI_DENOMINATOR = {2: 12, 3: 24}
 
 
 def _add(x: ChowElement, y: ChowElement) -> ChowElement:
@@ -289,26 +294,39 @@ def _add(x: ChowElement, y: ChowElement) -> ChowElement:
 
 def euler_characteristic(amb: Ambient, c: DivisorClass) -> int:
     """chi(O(hH + fF)) by the closed form, verified against the Chow-ring
-    route; the two must agree and the result must be an integer."""
+    route; the two must agree and the result must be an integer.
+
+    For an integer class it always is.  On a surface chi is
+    (2 + 2h + 2f + 2hf + e h (h + 1)) / 2, and h (h + 1) is even.  On a
+    threefold it is N / 6 with N = 6 + (2e + 9) h + 6f + 3 (e + 1) h^2 +
+    9hf + e h^3 + 3 h^2 f.  Mod 2, N is h (h + 1) + e h^2 (h + 1) +
+    hf (h + 1) term for term, and h (h + 1) is even.  Mod 3, N is
+    e h^3 - e h = e (h - 1) h (h + 1), a product of three consecutive
+    integers.  NonIntegralGenus is still raised for a class with Fraction
+    entries, such as chi(H / 2) = 9/4 on S(1, 1)."""
     _require_smooth(amb)
-    closed = _chi_closed_form(amb, c)
-    ring = euler_characteristic_chow(amb, c)
+    closed = _chi_closed_numerator(amb, c)
+    ring = _chi_ring_numerator(amb, c)
+    den = _CHI_DENOMINATOR[amb.d]
     if closed != ring:
         raise PathsDisagree(
-            f"chi closed form {closed} vs ring evaluation {ring} on {amb.dims}, class {c}"
+            f"chi closed form {Fraction(closed, den)} vs ring evaluation "
+            f"{Fraction(ring, den)} on {amb.dims}, class {c}"
         )
-    if closed.denominator != 1:
-        raise NonIntegralGenus(f"chi({c}) = {closed} is not an integer")
-    return int(closed)
+    if closed % den:
+        raise NonIntegralGenus(f"chi({c}) = {Fraction(closed, den)} is not an integer")
+    return closed // den
 
 
-def _bundle_chi_dual_fraction(amb: Ambient, b: RankTwoBundleClass) -> Fraction:
+def _bundle_chi_dual_numerator(amb: Ambient, b: RankTwoBundleClass) -> int:
+    """24 chi(E^dual) of a rank-2 bundle on a threefold, by the closed form
+    and, checked against it, through the ring."""
     if amb.d != 3:
         raise UnsupportedDimension("rank-2 bundle chi is coded for threefolds only")
     _require_smooth(amb)
     u, v, w, z = b.u, b.v, b.w, b.z
     e = amb.e
-    closed = Fraction(
+    closed = 4 * (
         12
         - (2 * e + 9) * u
         - 6 * v
@@ -320,8 +338,7 @@ def _bundle_chi_dual_fraction(amb: Ambient, b: RankTwoBundleClass) -> Fraction:
         + 3 * u * z
         + 3 * v * w
         - e * u ** 3
-        - 3 * u ** 2 * v,
-        6,
+        - 3 * u ** 2 * v
     )
     # independent route: the degree-3 piece of ch(dual E) * Todd, formed
     # times 24 as 2 t1 t2 - 2 c1 (t1^2 + t2) + 6 (c1^2 - 2 c2) t1
@@ -332,17 +349,17 @@ def _bundle_chi_dual_fraction(amb: Ambient, b: RankTwoBundleClass) -> Fraction:
     c1sq = chow_mul(amb, c1, c1)
     c1sq_minus_2c2 = _add(c1sq, {k: -2 * v for k, v in c2.items()})
     tangent = _tangent(amb)
-    ring = Fraction(
+    ring = (
         2 * tangent.todd
         - 2 * chow_degree(amb, chow_mul(amb, c1, tangent.c1sq_plus_c2))
         + 6 * chow_degree(amb, chow_mul(amb, c1sq_minus_2c2, tangent.c1))
         - 4 * chow_degree(amb, chow_mul(amb, c1sq, c1))
-        + 12 * chow_degree(amb, chow_mul(amb, c1, c2)),
-        24,
+        + 12 * chow_degree(amb, chow_mul(amb, c1, c2))
     )
     if closed != ring:
         raise PathsDisagree(
-            f"bundle chi closed form {closed} vs ring evaluation {ring}"
+            f"bundle chi closed form {Fraction(closed, 24)} vs ring evaluation "
+            f"{Fraction(ring, 24)}"
         )
     return closed
 
@@ -350,7 +367,7 @@ def _bundle_chi_dual_fraction(amb: Ambient, b: RankTwoBundleClass) -> Fraction:
 def pa_from_bundle(amb: Ambient, b: RankTwoBundleClass) -> int:
     """Arithmetic genus of the curve cut out by a rank-2 bundle on a
     threefold scroll, computed along three independent paths that must
-    agree exactly:
+    agree exactly, each as 24 times the genus:
 
     the expanded closed form, which is 1 + ((u - 3) D + (v + e - 2) w)/2
     in the curve degree D = we + z and the fiber count w; the
@@ -363,20 +380,23 @@ def pa_from_bundle(amb: Ambient, b: RankTwoBundleClass) -> int:
     _require_smooth(amb)
     u, v, w, z = b.u, b.v, b.w, b.z
     e = amb.e
-    path_a = 1 + Fraction((e * (u - 2) + v - 2) * w + (u - 3) * z, 2)
-    path_b = _bundle_chi_dual_fraction(amb, b) - _chi_closed_form(
+    path_a = 24 + 12 * ((e * (u - 2) + v - 2) * w + (u - 3) * z)
+    path_b = _bundle_chi_dual_numerator(amb, b) - _chi_closed_numerator(
         amb, DivisorClass(-u, -v)
     )
     c2e = chow_element(amb, {(2, 0): w, (1, 1): z})
     adjoint = chow_element(amb, {(1, 0): u - 3, (0, 1): v + e - 2})
-    path_c = 1 + Fraction(chow_degree(amb, chow_mul(amb, c2e, adjoint)), 2)
+    path_c = 24 + 12 * chow_degree(amb, chow_mul(amb, c2e, adjoint))
     if not (path_a == path_b == path_c):
-        raise PathsDisagree(f"genus paths disagree: {path_a}, {path_b}, {path_c}")
-    if path_a.denominator != 1:
-        raise NonIntegralGenus(
-            f"bundle data {b} yields genus {path_a}; no such curve exists"
+        raise PathsDisagree(
+            "genus paths disagree: "
+            + ", ".join(str(Fraction(p, 24)) for p in (path_a, path_b, path_c))
         )
-    return int(path_a)
+    if path_a % 24:
+        raise NonIntegralGenus(
+            f"bundle data {b} yields genus {Fraction(path_a, 24)}; no such curve exists"
+        )
+    return path_a // 24
 
 
 def genus_on_surface(degree: int, n: int, ell: int) -> int:
@@ -415,5 +435,5 @@ def genus_on_cone(degree: int, n: int) -> int:
     factor at least (q - 2)(n - 1) / 2 >= 0."""
     if degree < 1 or n < 3:
         raise ValueError("a curve on a cone needs degree >= 1, n >= 3")
-    q = ceil(Fraction(degree, n - 1))
+    q = -(-degree // (n - 1))
     return (q - 1) * (degree - 1) - q * (q - 1) * (n - 1) // 2

@@ -138,7 +138,7 @@ def _cmd_scrolls(args) -> int:
     depths = range(msd, min(args.max_dim, len(canon)) + 1)
     splits = 0
     for d in depths:
-        splits += split_count(canon, (d,))
+        splits += split_count(canon, d)
         if splits > SPLIT_LIMIT:
             raise BoundExceeded(
                 f"scroll structures up to dimension {depths[-1]} take more than "

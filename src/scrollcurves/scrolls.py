@@ -147,15 +147,13 @@ def _run_count(mask: int, size: int, step: int) -> int:
     return size - (mask & mask >> step).bit_count()
 
 
-def _block_values(values, *dims: int) -> tuple[int, ...]:
-    """The sorted distinct values, checked to take each number of blocks
-    in dims."""
+def _block_values(values, d: int | None = None) -> tuple[int, ...]:
+    """The sorted distinct values, checked to take d blocks if d is given."""
     vals = tuple(sorted(set(int(v) for v in values)))
     if not vals:
         raise ValueError("the exponent set is empty")
-    for d in dims:
-        if d < 1 or d > len(vals):
-            raise ValueError(f"block count {d} out of range for {len(vals)} elements")
+    if d is not None and (d < 1 or d > len(vals)):
+        raise ValueError(f"block count {d} out of range for {len(vals)} elements")
     return vals
 
 
@@ -178,7 +176,7 @@ def scroll_structures(values, d: int | None = None) -> tuple[ScrollStructure, ..
     with fewer runs searches the ways to cut them (`split_count` counts
     the splits).
     """
-    vals = _block_values(values) if d is None else _block_values(values, d)
+    vals = _block_values(values, d)
     n = len(vals)
     if n == 1:
         return (ScrollStructure(1, ((vals[0],),), 1),)
@@ -212,26 +210,22 @@ def scroll_structures(values, d: int | None = None) -> tuple[ScrollStructure, ..
     return tuple(out)
 
 
-def split_count(values, dims) -> int:
+def split_count(values, d: int) -> int:
     """Number of block splits `scroll_structures(values, d)` walks before
-    dropping repeated block sizes, summed over the block counts d in dims:
-    over the steps it visits (only the base step when d = n), the sum over
-    pieces per run of the product of C(|run| - 1, k - 1), which is
-    C(n - r, d - r) for r runs, and 1 for a step with exactly d runs,
-    which is split once, into its runs.  The run counts come from one
-    walk of the steps, pruned at the largest d.
+    dropping repeated block sizes: over the steps it visits (only the base
+    step when d = n), the sum over pieces per run of the product of
+    C(|run| - 1, k - 1), which is C(n - r, d - r) for r runs, and 1 for a
+    step with exactly d runs, which is split once, into its runs.  The run
+    counts come from one walk of the steps, pruned at d.
 
-    >>> split_count((0, 1, 2, 3), (2,))
+    >>> split_count((0, 1, 2, 3), 2)
     4
     """
-    dims = tuple(dims)
-    vals = _block_values(values, *dims)
+    vals = _block_values(values, d)
     n = len(vals)
-    runs = [r for _, r in _run_counts(vals, max(dims, default=0))] if n > 1 else ()
-    return sum(
-        1 if d == n else sum(math.comb(n - r, d - r) for r in runs if r <= d)
-        for d in dims
-    )
+    if d == n:
+        return 1
+    return sum(math.comb(n - r, d - r) for _, r in _run_counts(vals, d) if r <= d)
 
 
 def min_scroll_dimension(values) -> int:

@@ -1,9 +1,10 @@
 """Tests for the intersection-theory module.
 
-The integer-coefficient ring and its closed forms over fixed denominators
-are held to the Fraction-dict ring they replaced, kept below as test-local
-copies (`ref_*`): hypothesis compares normal forms, products, both closed
-forms, both ring routes and the genus on random smooth scrolls.
+The integer-coefficient ring and its closed forms, integer numerators over
+12 on a surface and 24 on a threefold, are held to the Fraction-dict ring
+they replaced, kept below as test-local copies (`ref_*`): hypothesis
+compares normal forms, products, both closed forms, both ring routes and
+the genus on random smooth scrolls.
 `test_chow_sympy.py` adds a symbolic third route.  The two scroll-statement
 reports of `scrollcurves.catalog`, which apply these formulas to a curve
 record, are tested at the end on real records.
@@ -24,15 +25,15 @@ from scrollcurves.chow import (
     Ambient,
     DivisorClass,
     RankTwoBundleClass,
-    _bundle_chi_dual_fraction,
-    _chi_closed_form,
+    _bundle_chi_dual_numerator,
+    _chi_closed_numerator,
+    _chi_ring_numerator,
     _tangent,
     chow_degree,
     chow_element,
     chow_mul,
     divisor_element,
     euler_characteristic,
-    euler_characteristic_chow,
     genus_on_cone,
     genus_on_surface,
     h0_class,
@@ -52,6 +53,22 @@ from scrollcurves.scrolls import ScrollStructure, scroll_structures
 def split_bundle(a: int, b: int, c: int, d: int) -> RankTwoBundleClass:
     """Chern data of O(aH + bF) + O(cH + dF)."""
     return RankTwoBundleClass(a + c, b + d, a * c, a * d + b * c)
+
+
+# The library's chi routes are integer numerators over these denominators.
+DENOMINATOR = {2: 12, 3: 24}
+
+
+def chi_closed(amb, c):
+    return Fraction(_chi_closed_numerator(amb, c), DENOMINATOR[amb.d])
+
+
+def chi_ring(amb, c):
+    return Fraction(_chi_ring_numerator(amb, c), DENOMINATOR[amb.d])
+
+
+def bundle_chi(amb, b):
+    return Fraction(_bundle_chi_dual_numerator(amb, b), 24)
 
 
 # The Fraction-dict ring: every coefficient is coerced to a Fraction, and
@@ -233,6 +250,8 @@ def typed(element):
 class TestAmbient:
     def test_balanced(self):
         assert Ambient.balanced(2, 5).dims == (2, 3)
+        assert Ambient.balanced(2, 5) is Ambient.balanced(2, 5)
+        assert Ambient.balanced.cache_parameters() == {"maxsize": 256, "typed": True}
         assert Ambient.balanced(3, 3).dims == (1, 1, 1)
         assert Ambient.balanced(3, 7).dims == (2, 2, 3)
         for d in (0, -1):
@@ -412,23 +431,32 @@ class TestEulerCharacteristic:
                 for h in range(-5, 6):
                     for f in range(-5, 6):
                         c = DivisorClass(h, f)
-                        assert euler_characteristic(amb, c) == euler_characteristic_chow(amb, c)
+                        assert euler_characteristic(amb, c) == chi_ring(amb, c)
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimension):
             euler_characteristic(Ambient((1, 1, 1, 1)), DivisorClass(1, 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(smooth_ambients(), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    def test_integer_classes_have_integer_chi(self, amb, h, f):
+        """The proof in `euler_characteristic`: chi of an integer class is
+        an integer, so it never raises NonIntegralGenus."""
+        c = DivisorClass(h, f)
+        value = euler_characteristic(amb, c)
+        assert type(value) is int and value == ref_chi_closed_form(amb, c)
 
 
 class TestBundleChi:
     def test_trivial_bundle(self):
         amb = Ambient((1, 1, 1))
         b = RankTwoBundleClass(0, 0, 0, 0)
-        assert _bundle_chi_dual_fraction(amb, b) == ref_bundle_chi_ring(amb, b) == 2
+        assert bundle_chi(amb, b) == ref_bundle_chi_ring(amb, b) == 2
 
     def test_split_example(self):
         amb = Ambient((1, 1, 1))
         b = RankTwoBundleClass(4, 0, 4, 0)
-        assert _bundle_chi_dual_fraction(amb, b) == ref_bundle_chi_ring(amb, b) == 0
+        assert bundle_chi(amb, b) == ref_bundle_chi_ring(amb, b) == 0
         assert euler_characteristic(amb, DivisorClass(-2, 0)) == 0
 
     def test_split_additivity(self):
@@ -438,7 +466,7 @@ class TestBundleChi:
                 for b in range(-2, 3):
                     for c in range(0, 3):
                         for d in range(-2, 3):
-                            total = _bundle_chi_dual_fraction(amb, split_bundle(a, b, c, d))
+                            total = bundle_chi(amb, split_bundle(a, b, c, d))
                             assert total.denominator == 1
                             parts = euler_characteristic(
                                 amb, DivisorClass(-a, -b)
@@ -447,7 +475,7 @@ class TestBundleChi:
 
     def test_surface_rejected(self):
         with pytest.raises(UnsupportedDimension):
-            _bundle_chi_dual_fraction(Ambient((1, 2)), RankTwoBundleClass(1, 0, 0, 0))
+            _bundle_chi_dual_numerator(Ambient((1, 2)), RankTwoBundleClass(1, 0, 0, 0))
 
 
 class TestBundleGenus:
@@ -550,11 +578,11 @@ class TestIntegerRingOracle:
     @given(smooth_ambients(), small, small)
     def test_chi_routes(self, amb, h, f):
         c = DivisorClass(h, f)
-        closed = _chi_closed_form(amb, c)
-        ring = euler_characteristic_chow(amb, c)
-        assert type(closed) is Fraction and type(ring) is Fraction
-        assert closed == ref_chi_closed_form(amb, c)
-        assert ring == ref_chi_ring(amb, c)
+        closed = _chi_closed_numerator(amb, c)
+        ring = _chi_ring_numerator(amb, c)
+        assert type(closed) is int and type(ring) is int
+        assert Fraction(closed, DENOMINATOR[amb.d]) == ref_chi_closed_form(amb, c)
+        assert Fraction(ring, DENOMINATOR[amb.d]) == ref_chi_ring(amb, c)
 
     @settings(max_examples=300, deadline=None)
     @given(smooth_ambients((3,)), small, small, small, small)
@@ -562,7 +590,8 @@ class TestIntegerRingOracle:
         b = RankTwoBundleClass(u, v, w, z)
         expected = ref_bundle_chi_closed_form(amb, b)
         assert ref_bundle_chi_ring(amb, b) == expected
-        assert _bundle_chi_dual_fraction(amb, b) == expected
+        numerator = _bundle_chi_dual_numerator(amb, b)
+        assert type(numerator) is int and Fraction(numerator, 24) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(smooth_ambients((3,)), small, small, small, small)
