@@ -244,6 +244,10 @@ def _tangent(amb: Ambient) -> _Tangent:
     return _Tangent(c1, c2, _add(c1sq, c2), todd)
 
 
+# the common denominator of the chi numerators, by scroll dimension
+_CHI_DENOMINATOR = {2: 12, 3: 24}
+
+
 def _chi_closed_numerator(amb: Ambient, c: DivisorClass) -> int:
     """12 chi(O(hH + fF)) on a surface, 24 chi on a threefold, by the
     closed form: an integer polynomial over 2 (d = 2) or 6 (d = 3)."""
@@ -281,10 +285,6 @@ def _chi_ring_numerator(amb: Ambient, c: DivisorClass) -> int:
     )
 
 
-# the common denominator of the chi numerators, by scroll dimension
-_CHI_DENOMINATOR = {2: 12, 3: 24}
-
-
 def _add(x: ChowElement, y: ChowElement) -> ChowElement:
     out = dict(x)
     for k, v in y.items():
@@ -299,10 +299,10 @@ def euler_characteristic(amb: Ambient, c: DivisorClass) -> int:
     For an integer class it always is.  On a surface chi is
     (2 + 2h + 2f + 2hf + e h (h + 1)) / 2, and h (h + 1) is even.  On a
     threefold it is N / 6 with N = 6 + (2e + 9) h + 6f + 3 (e + 1) h^2 +
-    9hf + e h^3 + 3 h^2 f.  Mod 2, N is h (h + 1) + e h^2 (h + 1) +
-    hf (h + 1) term for term, and h (h + 1) is even.  Mod 3, N is
-    e h^3 - e h = e (h - 1) h (h + 1), a product of three consecutive
-    integers.  NonIntegralGenus is still raised for a class with Fraction
+    9hf + e h^3 + 3 h^2 f.  Mod 2, N is congruent to h (h + 1) +
+    e h^2 (h + 1) + hf (h + 1), even since h (h + 1) is.  Mod 3, N is
+    congruent to e h^3 - e h = e (h - 1) h (h + 1), which holds a product
+    of three consecutive integers.  NonIntegralGenus is still raised for a class with Fraction
     entries, such as chi(H / 2) = 9/4 on S(1, 1)."""
     _require_smooth(amb)
     closed = _chi_closed_numerator(amb, c)

@@ -59,10 +59,6 @@ def split_bundle(a: int, b: int, c: int, d: int) -> RankTwoBundleClass:
 DENOMINATOR = {2: 12, 3: 24}
 
 
-def chi_closed(amb, c):
-    return Fraction(_chi_closed_numerator(amb, c), DENOMINATOR[amb.d])
-
-
 def chi_ring(amb, c):
     return Fraction(_chi_ring_numerator(amb, c), DENOMINATOR[amb.d])
 
