@@ -7,7 +7,9 @@ form as dictionaries mapping (i, j) to the coefficient of H^i F^j, and
 `chow_element` is the one normal form: `chow_mul` drops the vanishing
 monomials of a product as it forms them and hands the rest to it.  The
 coefficients are integers, as are H, F, the Chern classes and every divisor
-and bundle class; a coefficient is a Fraction only where an input had one.
+and bundle class.  `chow_element` refuses any other coefficient with a
+ValueError, after the smoothness test, and `h0_class` and the genus
+formulas refuse any other argument the same way.
 A scroll's dimension d and degree e are set once, when its `Ambient` (a
 small immutable slotted class, hashed by its type) is built;
 `Ambient.balanced` hands out one shared scroll per (d, e), and the tangent
@@ -20,9 +22,9 @@ Every closed form and ring route is an integer numerator over its
 dimension's fixed denominator, 12 on a surface and 24 on a threefold (the
 Todd and Chern character denominators 2, 6, 12 and 24 all divide it).
 Every quantity with more than one natural derivation is computed along all
-of them, the numerators are compared exactly, a result is an integer when
-its numerator is divisible, and a Fraction is built only for the reduced
-value an error prints.
+of them and the numerators are compared exactly.  A chi is always an
+integer; a bundle genus is one when its numerator is divisible.  A Fraction
+is built only for the reduced value an error prints.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     UnsupportedDimension,
 )
 
-ChowElement = dict[tuple[int, int], int | Fraction]
+ChowElement = dict[tuple[int, int], int]
 
 
 class Ambient:
@@ -127,15 +129,22 @@ def _require_smooth(amb: Ambient) -> None:
         raise ValueError(f"Chow operations need a smooth scroll, got {amb.dims}")
 
 
+def _require_ints(*values) -> None:
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"Chow operations need integers, got {v!r}")
+
+
 def chow_element(amb: Ambient, coefficients) -> ChowElement:
     """Normal form of a coefficient dictionary {(i, j): c} for H^i F^j;
-    int coefficients stay ints and any other is read as a Fraction."""
+    every coefficient must be an int (a Fraction, float or string is
+    refused, after the scroll's smoothness)."""
     _require_smooth(amb)
     d, e = amb.d, amb.e
     out: ChowElement = {}
     for (i, j), c in coefficients.items():
         if not isinstance(c, int):
-            c = Fraction(c)
+            _require_ints(c)
         if c == 0 or j >= 2 or i > d:
             continue
         if i == d:
@@ -171,9 +180,9 @@ def chow_mul(amb: Ambient, x: ChowElement, y: ChowElement) -> ChowElement:
     return chow_element(amb, raw)
 
 
-def chow_degree(amb: Ambient, x: ChowElement) -> int | Fraction:
-    """Coefficient of the top class H^(d-1) F, an int for an integer class;
-    anything else present means the element is not top-dimensional."""
+def chow_degree(amb: Ambient, x: ChowElement) -> int:
+    """Coefficient of the top class H^(d-1) F; anything else present means
+    the element is not top-dimensional."""
     top = (amb.d - 1, 1)
     for key, c in x.items():
         if key != top and c != 0:
@@ -192,6 +201,7 @@ def h0_class(amb: Ambient, c: DivisorClass) -> tuple[int, bool]:
     (f + 1) C(h + d - 1, d - 1) + e C(h + d - 1, d).
     """
     _require_smooth(amb)
+    _require_ints(*c)
     a, b = c.h, c.f
     m1 = amb.dims[0]
     vanishing = a >= 0 and b >= -(a * m1 + 1)
@@ -302,8 +312,8 @@ def euler_characteristic(amb: Ambient, c: DivisorClass) -> int:
     9hf + e h^3 + 3 h^2 f.  Mod 2, N is congruent to h (h + 1) +
     e h^2 (h + 1) + hf (h + 1), even since h (h + 1) is.  Mod 3, N is
     congruent to e h^3 - e h = e (h - 1) h (h + 1), which holds a product
-    of three consecutive integers.  NonIntegralGenus is still raised for a class with Fraction
-    entries, such as chi(H / 2) = 9/4 on S(1, 1)."""
+    of three consecutive integers.  A class with any other entry, such as
+    H / 2, is refused by the ring route with a ValueError."""
     _require_smooth(amb)
     closed = _chi_closed_numerator(amb, c)
     ring = _chi_ring_numerator(amb, c)
@@ -313,8 +323,6 @@ def euler_characteristic(amb: Ambient, c: DivisorClass) -> int:
             f"chi closed form {Fraction(closed, den)} vs ring evaluation "
             f"{Fraction(ring, den)} on {amb.dims}, class {c}"
         )
-    if closed % den:
-        raise NonIntegralGenus(f"chi({c}) = {Fraction(closed, den)} is not an integer")
     return closed // den
 
 
@@ -410,6 +418,7 @@ def genus_on_surface(degree: int, n: int, ell: int) -> int:
     (n - 1) - (n - 3) = 2 mod 2 for odd ell.  The genus is checked against
     chi of the ideal sheaf; a negative one means no such curve, and raises
     NonIntegralGenus."""
+    _require_ints(degree, n, ell)
     if degree < 1 or n < 3 or ell < 1:
         raise ValueError("a surface scroll curve needs degree >= 1, n >= 3, ell >= 1")
     twice = (2 * ell - 2) * degree - (n - 1) * ell ** 2 + (n - 3) * ell
@@ -433,6 +442,7 @@ def genus_on_cone(degree: int, n: int) -> int:
     negative: it is (q - 1)(degree - 1 - q (n - 1) / 2), which is 0 for
     q = 1, and for q >= 2 degree >= (q - 1)(n - 1) + 1 makes the second
     factor at least (q - 2)(n - 1) / 2 >= 0."""
+    _require_ints(degree, n)
     if degree < 1 or n < 3:
         raise ValueError("a curve on a cone needs degree >= 1, n >= 3")
     q = -(-degree // (n - 1))

@@ -21,7 +21,6 @@ from .errors import (
     GenusZero,
     NotIncreasing,
     PathsDisagree,
-    ZeroExponent,
 )
 from .semigroups import (
     NumericalSemigroup,
@@ -203,7 +202,7 @@ def sheaf_degree_h0(curve: MonomialCurve, generator_exponents) -> SheafData:
     h0 counts the c in U0 with -c in U_inf, one popcount against U_inf
     reversed.  This general route certifies the dualizing sheaf, re-derives
     the degree of every winning gonality pencil, and is the oracle of the
-    closed form of `pencil_degree`.
+    pencils' closed form `_pencil`.
     """
     gens = tuple(int(b) for b in generator_exponents)
     if not gens:
@@ -243,16 +242,18 @@ def verify_dualizing_candidate(curve: MonomialCurve, generator_exponents) -> boo
     return data == SheafData(2 * g - 2, g)
 
 
-def pencil_degree(curve: MonomialCurve, n: int) -> int:
-    """Degree of the sheaf spanned by 1 and t^n, in closed form.
+def _pencil(g0: int, gi: int, delta_i: int, n: int) -> int:
+    """Degree of the sheaf spanned by 1 and t^n for n > 0, in closed form,
+    from the gap masks G0 = g0 and G_inf = gi of the branches at 0 and
+    infinity and the popcount delta_i of gi.
 
-    For n > 0 the stalk at t = 0 is S0 together with S0 + n, which gains
-    one value for each gap of S0 lying n above an element of S0.  The
-    stalk at infinity is S_inf together with S_inf - n, which gains the n
-    values below 0 less the gaps of S_inf below n, plus one value for each
-    gap of S_inf lying n below an element of S_inf.  Neither stalk loses
-    anything, so the degree is the sum of the three counts.  Each count is
-    a popcount of the branches' gap masks G0 and G_inf:
+    The stalk at t = 0 is S0 together with S0 + n, which gains one value
+    for each gap of S0 lying n above an element of S0.  The stalk at
+    infinity is S_inf together with S_inf - n, which gains the n values
+    below 0 less the gaps of S_inf below n, plus one value for each gap of
+    S_inf lying n below an element of S_inf.  Neither stalk loses
+    anything, so the degree is the sum of the three counts, each a
+    popcount:
 
     * (G0 >> n) counts the gaps at least n, and (G0 & G0 << n) those whose
       predecessor by n is also a gap;
@@ -261,24 +262,14 @@ def pencil_degree(curve: MonomialCurve, n: int) -> int:
     * G_inf counts every gap (the genus of S_inf), and (G_inf & G_inf >> n)
       those whose successor by n is also a gap.
 
-    For n < 0 the two points trade roles under t -> 1/t.  The result equals
-    `sheaf_degree_h0(curve, (0, n)).degree` without building either stalk.
+    The result equals `sheaf_degree_h0(curve, (0, n)).degree` without
+    building either stalk; for n < 0 the two points trade roles under
+    t -> 1/t.
 
-    >>> pencil_degree(make_curve((4, 5, 7, 8)), 2)
+    >>> c = make_curve((4, 5, 7, 8))
+    >>> _pencil(c.s_zero.gap_mask, c.s_infinity.gap_mask, c.s_infinity.delta, 2)
     4
     """
-    if n == 0:
-        raise ZeroExponent("a pencil needs a nonzero exponent")
-    s0, si = curve.s_zero, curve.s_infinity
-    if n < 0:
-        s0, si, n = si, s0, -n
-    return _pencil(s0.gap_mask, si.gap_mask, si.delta, n)
-
-
-def _pencil(g0: int, gi: int, delta_i: int, n: int) -> int:
-    """The closed form of `pencil_degree` for n > 0, from the gap masks g0
-    and gi of the branches at 0 and infinity and the popcount delta_i of
-    gi."""
     return (
         (g0 >> n).bit_count()
         - (g0 & g0 << n).bit_count()
@@ -297,7 +288,7 @@ def gonality_pencil(curve: MonomialCurve) -> tuple[int, int]:
     the smallest |n| wins a tie, positive first, so a negative exponent
     never would.  The window ends where the pencils shift entirely past
     both conductors and can only do worse.  Degrees come from the closed
-    form of `pencil_degree`, with the gap masks read once per curve.  Its
+    form `_pencil`, with the gap masks read once per curve.  Its
     counts are nonnegative, so the degree at n is at least |S_inf cap
     [0, n)|, and by the symmetry at least |S0 cap [0, n)| too: the scan
     stops once the larger of the two, which never decreases with n,

@@ -1,17 +1,17 @@
 """Exception hierarchy shared across the package.
 
-Two kinds of error are raised on purpose.  An argument outside the domain
-a function is written for raises a plain ValueError: a nonpositive
-semigroup generator or negative genus, an invalid or singular scroll, a
-formula input below its range, an empty exponent set or an out-of-range
-block count, an unknown render format.  Everything else derives from
-ScrollCurvesError, one subclass per condition: input the mathematics
-rules out (no generators, exponents not increasing or not coprime, a zero
-pencil exponent, genus zero, a set that is no K*, a genus that is not a
-nonnegative integer), input past a size bound, a scroll dimension or class
-the formulas do not cover, an unknown fixture name, and disagreeing
-computation paths.  The command line interface catches both types and
-exits with code 2.
+Two kinds of error are raised on purpose.  An argument outside the domain a
+function is written for raises a plain ValueError: a nonpositive semigroup
+generator or negative genus, an invalid or singular scroll, a Chow
+coefficient or formula input that is not an int or is below its range, an
+empty exponent set or an out-of-range block count, an unknown render
+format.  Everything else derives from ScrollCurvesError, one subclass per
+condition: input the mathematics rules out (no generators, exponents not
+increasing or not coprime, genus zero, a set that is no K*, a genus that
+is not a nonnegative integer), input past a size bound, a scroll dimension
+or class the formulas do not cover, an unknown fixture name, and
+disagreeing computation paths.  The command line interface catches both
+types and exits with code 2.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ class GcdNotOne(ScrollCurvesError):
 
 class NotIncreasing(ScrollCurvesError):
     """Curve exponents must be strictly increasing and positive."""
-
-
-class ZeroExponent(ScrollCurvesError):
-    """A pencil O<1, t^n> needs a nonzero exponent n."""
 
 
 class GenusZero(ScrollCurvesError):

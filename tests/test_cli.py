@@ -393,11 +393,21 @@ class TestFormula:
         assert err == f"error: closed-form chi needs d in {{2, 3}}, got d={d}\n"
 
     def test_chi_rejects_cone(self, capsys):
-        code, _, _ = run_cli(
+        code, out, err = run_cli(
             "formula", "chi", "--d", "2", "--e", "1", "--h", "1", "--f", "0",
             capsys=capsys,
         )
-        assert code == 2
+        assert (code, out) == (2, "")
+        assert err == "error: Chow operations need a smooth scroll, got (0, 1)\n"
+
+    def test_pa_bundle_rejects_cone(self, capsys):
+        code, out, err = run_cli(
+            "formula", "pa-bundle", "--e", "2", "--u", "2", "--v", "0",
+            "--w", "1", "--z", "0",
+            capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: Chow operations need a smooth scroll, got (0, 1, 1)\n"
 
 
 class TestExitCodes:

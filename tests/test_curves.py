@@ -5,9 +5,9 @@ integer of their window.  The mask route of the sheaf invariants is held
 to chained tuple unions, on fixed curves and on random
 curves and generator lists.  The pruned one-sided gonality window is held
 to a search of the whole window on both sides, and the symmetry of pencil
-degrees it rests on is checked directly; a representative's enumerated
-branch is held to the one its exponents generate, and the closed-form mu
-of `analyze` to the tuple Minkowski chain."""
+degrees it rests on is checked on the sheaf route; a representative's
+enumerated branch is held to the one its exponents generate, and the
+closed-form mu of `analyze` to the tuple Minkowski chain."""
 
 import math
 import random
@@ -21,6 +21,7 @@ import scrollcurves.curves as curves_module
 from scrollcurves.curves import (
     SCHUR_BOUND_LIMIT,
     SheafData,
+    _pencil,
     analyze,
     canonical_exponents,
     canonical_section_exponents,
@@ -28,7 +29,6 @@ from scrollcurves.curves import (
     gonality,
     gonality_pencil,
     make_curve,
-    pencil_degree,
     representative_curve,
     sheaf_degree_h0,
     verify_dualizing_candidate,
@@ -39,7 +39,6 @@ from scrollcurves.errors import (
     GenusZero,
     NotIncreasing,
     PathsDisagree,
-    ZeroExponent,
 )
 from scrollcurves.fixtures import fixture, fixture_names
 from scrollcurves.semigroups import enumerate_genus, kappa_sets, make_semigroup
@@ -84,14 +83,23 @@ generator_lists = st.one_of(
 )
 
 
+def closed_form_pencil(curve, n: int) -> int:
+    """The degree of <1, t^n> by the closed form `_pencil`, for n of either
+    sign: for n < 0 the two branches trade roles under t -> 1/t."""
+    s0, si = curve.s_zero, curve.s_infinity
+    if n < 0:
+        s0, si, n = si, s0, -n
+    return _pencil(s0.gap_mask, si.gap_mask, si.delta, n)
+
+
 def full_window_gonality_pencil(curve) -> tuple[int, int]:
     """The gonality search before its window was pruned: every pencil in
     the window by the closed form, ties to the smallest |n|, positive
     first."""
-    best = (pencil_degree(curve, 1), 1)
+    best = (closed_form_pencil(curve, 1), 1)
     for size in range(1, window(curve) + 1):
         for n in (size, -size):
-            d = pencil_degree(curve, n)
+            d = closed_form_pencil(curve, n)
             if d < best[0]:
                 best = (d, n)
     return best
@@ -315,12 +323,8 @@ class TestSheafOracle:
 
 class TestPencils:
     def test_degree_examples(self):
-        assert pencil_degree(make_curve((4, 5, 7, 8)), 2) == 4
-        assert pencil_degree(make_curve((1, 2)), 1) == 1
-
-    def test_zero_exponent_rejected(self):
-        with pytest.raises(ZeroExponent):
-            pencil_degree(make_curve((2, 3)), 0)
+        assert closed_form_pencil(make_curve((4, 5, 7, 8)), 2) == 4
+        assert closed_form_pencil(make_curve((1, 2)), 1) == 1
 
     def test_gonality_frozen(self):
         cases = {
@@ -350,7 +354,7 @@ class TestPencils:
     def test_pencil_reported_with_exponent(self):
         degree, n = gonality_pencil(make_curve((5, 6, 7, 8, 9)))
         assert degree == 2
-        assert pencil_degree(make_curve((5, 6, 7, 8, 9)), n) == 2
+        assert closed_form_pencil(make_curve((5, 6, 7, 8, 9)), n) == 2
 
 
 class TestPencilOracle:
@@ -361,15 +365,18 @@ class TestPencilOracle:
             for n in range(-window(c), window(c) + 1):
                 if n:
                     expected = sheaf_degree_h0(c, (0, n)).degree
-                    assert pencil_degree(c, n) == expected, (c.exponents, n)
+                    assert closed_form_pencil(c, n) == expected, (c.exponents, n)
 
     def test_pencil_degree_is_even_in_the_exponent(self):
-        """deg <1, t^n> = deg <1, t^-n> on every n in the window of the
-        genus 1-8 representatives and of every bundled fixture curve: the
-        fact that lets `gonality_pencil` scan n > 0 only."""
+        """deg <1, t^n> = deg <1, t^-n>, and h0 too, on every n in the
+        window of the genus 1-8 representatives and of every bundled
+        fixture curve: the fact that lets `gonality_pencil` scan n > 0
+        only.  Both sides come from the sheaf route, which shares nothing
+        with the closed form."""
         for c in window_curves():
             for n in range(1, window(c) + 1):
-                assert pencil_degree(c, n) == pencil_degree(c, -n), (c.exponents, n)
+                plus, minus = sheaf_degree_h0(c, (0, n)), sheaf_degree_h0(c, (0, -n))
+                assert plus == minus, (c.exponents, n)
 
     def test_pruned_window_matches_full_window_on_oracle_curves(self):
         """Genus 1-11 representatives and the 74 fixture curves."""
@@ -419,7 +426,7 @@ class TestMultiWordPencils:
         ns |= {rng.choice((1, -1)) * rng.randint(1, window(c)) for _ in range(200)}
         for n in sorted(ns):
             expected = sheaf_degree_h0(c, (0, n)).degree
-            assert pencil_degree(c, n) == expected, (exponents, n)
+            assert closed_form_pencil(c, n) == expected, (exponents, n)
 
     def test_gap_mask_bits_are_the_gaps(self):
         for genus in range(9):
