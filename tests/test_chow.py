@@ -525,6 +525,14 @@ class TestIntegerRingOracle:
         # coefficient types included
         assert typed(product) == typed(chow_element(amb, raw_product(x, y)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(smooth_ambients((1, 2, 3, 4)), raw_int_elements, raw_int_elements)
+    def test_product_of_raw_int_dicts_stays_int(self, amb, x, y):
+        product = chow_mul(amb, x, y)
+        assert product == ref_chow_mul(amb, x, y)
+        assert set(product) <= normal_keys(amb)
+        assert all(type(c) is int and c != 0 for c in product.values())
+
     @settings(max_examples=200, deadline=None)
     @given(smooth_ambients(), small, small, small, small)
     def test_integer_degree_is_an_int(self, amb, h1, f1, h2, f2):
