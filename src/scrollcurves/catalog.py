@@ -7,8 +7,9 @@ as it is built.  The audit recomputes a bundled reference table and
 reports, row by row, whether the recorded values agree with the computed
 ones.  Rendering produces deterministic JSON, CSV, or markdown for
 catalog rows and markdown for audit reports; JSON is encoded one row at a
-time, so the whole catalog never exists as one tree of dicts.  Rows,
-audit reports, flag records and findings are named tuples.
+time, so the whole catalog never exists as one tree of dicts.  A row is
+the curve's `CurveAnalysis` with its `structures` filled; rows, audit
+reports, flag records and findings are named tuples.
 
 Every check of the paper's statements on a curve record lives here:
 `check_scroll_correspondence` holds the gonality-scroll theorem on each
@@ -44,41 +45,6 @@ from .errors import PathsDisagree
 from .fixtures import FixtureRow, fixture
 from .scrolls import ScrollStructure, scroll_structures
 from .semigroups import enumerate_genus
-
-
-class CatalogRow(NamedTuple):
-    """One catalog entry: a curve's invariant record (the fields of
-    `CurveAnalysis`, in its order) with the scroll structures of its
-    canonical model."""
-
-    exponents: tuple[int, ...]
-    genus: int
-    g_prime: int
-    eta: int
-    mu: int
-    gonality: int
-    canonical: tuple[int, ...]
-    flags: dict
-    eta_branches: tuple[int, int]
-    structures: tuple[ScrollStructure, ...]
-
-    label = CurveAnalysis.label
-
-    def to_dict(self) -> dict:
-        return {
-            "exponents": list(self.exponents),
-            "genus": self.genus,
-            "gonality": self.gonality,
-            "eta": self.eta,
-            "mu": self.mu,
-            "g_prime": self.g_prime,
-            "flags": dict(self.flags),
-            "canonical": list(self.canonical),
-            "structures": [
-                {"dims": list(s.scroll_type.dims), "step": s.step, "ell": s.ell}
-                for s in self.structures
-            ],
-        }
 
 
 class FlagRecord(NamedTuple):
@@ -457,7 +423,7 @@ def threefold_bundle_report(
 
 def _catalog_row(
     curve: MonomialCurve, record: CurveAnalysis, structures: tuple[ScrollStructure, ...]
-) -> CatalogRow:
+) -> CurveAnalysis:
     """The row of an analyzed curve from the scroll structures of its
     canonical model at the minimum scroll dimension, with the structural
     identities checked."""
@@ -466,10 +432,10 @@ def _catalog_row(
     if not verify_dualizing_candidate(curve, raw):
         raise PathsDisagree(f"canonical sections of {record.exponents} fail the degree test")
     check_scroll_correspondence(record.exponents, record.genus, record.gonality, msd)
-    return CatalogRow(*record, structures)
+    return record._replace(structures=structures)
 
 
-def row_for_curve(curve: MonomialCurve) -> CatalogRow:
+def row_for_curve(curve: MonomialCurve) -> CurveAnalysis:
     """The catalog row of a single curve, invariant checks included.
 
     The canonical model is computed first, so a curve of genus 0 raises
@@ -482,7 +448,7 @@ def row_for_curve(curve: MonomialCurve) -> CatalogRow:
 
 def build_catalog(
     genus_range, non_gorenstein: bool = False, scroll_dim: int | None = None
-) -> list[CatalogRow]:
+) -> list[CurveAnalysis]:
     """All catalog rows for the given genera, in deterministic order.
 
     Every numerical semigroup of each genus is enumerated and taken to its
@@ -573,7 +539,7 @@ def audit_fixture(name: str) -> AuditReport:
     return AuditReport(name, matched=len(rows) - len(flagged), flagged=tuple(flagged))
 
 
-def _structures_cell(row: CatalogRow) -> str:
+def _structures_cell(row: CurveAnalysis) -> str:
     return "; ".join(
         f"dims={s.scroll_type.dims} step={s.step} ell={s.ell}" for s in row.structures
     )

@@ -8,7 +8,8 @@ form as dictionaries mapping (i, j) to the coefficient of H^i F^j, and
 monomials of a product as it forms them and hands the rest to it.  The
 coefficients are integers, as are H, F, the Chern classes and every divisor
 and bundle class.  `chow_element` refuses any other coefficient with a
-ValueError, after the smoothness test, and `h0_class` and the genus
+ValueError, after the smoothness test, and `Ambient`, `Ambient.balanced`,
+`h0_class`, `euler_characteristic`, `pa_from_bundle` and the genus
 formulas refuse any other argument the same way.
 A scroll's dimension d and degree e are set once, when its `Ambient` (a
 small immutable slotted class, hashed by its type) is built;
@@ -47,7 +48,8 @@ ChowElement = dict[tuple[int, int], int]
 
 class Ambient:
     """A rational normal scroll of type (m_1 <= ... <= m_d), with its
-    dimension `d` and degree `e` = m_1 + ... + m_d.
+    dimension `d` and degree `e` = m_1 + ... + m_d; each m_i must be an
+    int (a float, Fraction or string is refused, not rounded).
 
     Immutable, with equality, hash and repr by `dims` alone; `d` and `e`,
     read on every ring operation, are plain slots set once."""
@@ -55,7 +57,9 @@ class Ambient:
     __slots__ = ("dims", "d", "e")
 
     def __init__(self, dims) -> None:
-        dims = tuple(sorted(int(m) for m in dims))
+        dims = tuple(dims)
+        _require_ints(*dims)
+        dims = tuple(sorted(dims))
         if not dims or dims[0] < 0:
             raise ValueError(f"invalid scroll type {dims}")
         object.__setattr__(self, "dims", dims)
@@ -94,8 +98,10 @@ class Ambient:
     @lru_cache(maxsize=256, typed=True)
     def balanced(cls, d: int, e: int) -> "Ambient":
         """The scroll of dimension d and degree e with dims as equal as
-        possible; d must be at least 1.  Each (d, e) gets one shared
-        scroll, from a bounded cache whose keys keep the argument types."""
+        possible; d and e must be ints and d at least 1.  Each (d, e) gets
+        one shared scroll, from a bounded cache whose keys keep the argument
+        types; a refused call is not cached."""
+        _require_ints(d, e)
         if d < 1:
             raise ValueError(f"a scroll needs dimension d >= 1, got {d}")
         base, extra = divmod(e, d)
@@ -260,21 +266,20 @@ _CHI_DENOMINATOR = {2: 12, 3: 24}
 
 def _chi_closed_numerator(amb: Ambient, c: DivisorClass) -> int:
     """12 chi(O(hH + fF)) on a surface, 24 chi on a threefold, by the
-    closed form: an integer polynomial over 2 (d = 2) or 6 (d = 3)."""
+    closed form: an integer polynomial over 2 (d = 2) or 6 (d = 3).  The
+    callers have checked that d is 2 or 3."""
     h, f, e = c.h, c.f, amb.e
     if amb.d == 2:
         return 6 * (2 + 2 * h + 2 * f + 2 * h * f + e * h * (h + 1))
-    if amb.d == 3:
-        return 4 * (
-            6
-            + (2 * e + 9) * h
-            + 6 * f
-            + 3 * (e + 1) * h ** 2
-            + 9 * h * f
-            + e * h ** 3
-            + 3 * h ** 2 * f
-        )
-    raise UnsupportedDimension(f"closed-form chi needs d in {{2, 3}}, got d={amb.d}")
+    return 4 * (
+        6
+        + (2 * e + 9) * h
+        + 6 * f
+        + 3 * (e + 1) * h ** 2
+        + 9 * h * f
+        + e * h ** 3
+        + 3 * h ** 2 * f
+    )
 
 
 def _chi_ring_numerator(amb: Ambient, c: DivisorClass) -> int:
@@ -313,8 +318,12 @@ def euler_characteristic(amb: Ambient, c: DivisorClass) -> int:
     e h^2 (h + 1) + hf (h + 1), even since h (h + 1) is.  Mod 3, N is
     congruent to e h^3 - e h = e (h - 1) h (h + 1), which holds a product
     of three consecutive integers.  A class with any other entry, such as
-    H / 2, is refused by the ring route with a ValueError."""
+    H / 2, is refused with a ValueError, after the smoothness and
+    dimension checks."""
     _require_smooth(amb)
+    if amb.d not in _CHI_DENOMINATOR:
+        raise UnsupportedDimension(f"closed-form chi needs d in {{2, 3}}, got d={amb.d}")
+    _require_ints(*c)
     closed = _chi_closed_numerator(amb, c)
     ring = _chi_ring_numerator(amb, c)
     den = _CHI_DENOMINATOR[amb.d]
@@ -386,6 +395,7 @@ def pa_from_bundle(amb: Ambient, b: RankTwoBundleClass) -> int:
     if amb.d != 3:
         raise UnsupportedDimension("the genus formula is coded for threefolds only")
     _require_smooth(amb)
+    _require_ints(*b)
     u, v, w, z = b.u, b.v, b.w, b.z
     e = amb.e
     path_a = 24 + 12 * ((e * (u - 2) + v - 2) * w + (u - 3) * z)

@@ -7,7 +7,8 @@ t = infinity, each described by a numerical semigroup of local values.
 Everything downstream (canonical sections, sheaf degrees, gonality pencils,
 symmetry-defect flags) is computed exactly from those two semigroups.
 The records returned (`SheafData`, `CurveAnalysis`) are named tuples:
-immutable, compared field by field, and changed only by `_replace`.
+immutable, compared field by field, and changed only by `_replace`; a
+catalog row is the `CurveAnalysis` of its curve with `structures` filled.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ def make_curve(exponents, schur_limit: int | None = None) -> MonomialCurve:
     """Validate exponents and build the curve with both branches sieved.
 
     Given a schur_limit, raise BoundExceeded, before either branch is
-    sieved, when the `schur_bound` of a branch (the cap of
-    `make_semigroup`) passes it; at infinity the generators are the drops
-    from the top exponent.
+    sieved, when the `schur_bound` of a branch (past where the stream of
+    `make_semigroup` stops) passes it; at infinity the generators are the
+    drops from the top exponent.
 
     >>> make_curve((4, 5, 7, 8)).genus
     4
@@ -341,7 +342,9 @@ class CurveAnalysis(NamedTuple):
 
     flags maps each classification name to its truth value, in the order
     catalog JSON prints them: gorenstein, hyperelliptic, nearly_normal,
-    kunz, almost_gorenstein, nearly_gorenstein.
+    kunz, almost_gorenstein, nearly_gorenstein.  structures holds the
+    scroll structures of the canonical model on a catalog row and is None
+    on a bare record from `analyze`, which therefore does not render.
     """
 
     exponents: tuple[int, ...]
@@ -353,6 +356,7 @@ class CurveAnalysis(NamedTuple):
     canonical: tuple[int, ...]
     flags: dict
     eta_branches: tuple[int, int]
+    structures: tuple | None = None
 
     @property
     def label(self) -> str:
@@ -362,9 +366,26 @@ class CurveAnalysis(NamedTuple):
                 return text
         return "--"
 
+    def to_dict(self) -> dict:
+        return {
+            "exponents": list(self.exponents),
+            "genus": self.genus,
+            "gonality": self.gonality,
+            "eta": self.eta,
+            "mu": self.mu,
+            "g_prime": self.g_prime,
+            "flags": dict(self.flags),
+            "canonical": list(self.canonical),
+            "structures": [
+                {"dims": list(s.scroll_type.dims), "step": s.step, "ell": s.ell}
+                for s in self.structures
+            ],
+        }
+
 
 def analyze(curve: MonomialCurve) -> CurveAnalysis:
-    """Compute the full invariant record of a curve.
+    """Compute the full invariant record of a curve, without its scroll
+    structures (`structures` is None; `catalog.row_for_curve` fills them).
 
     eta and mu are the sums of the local defects of the two branches, each
     read from `eta_local` and `mu_local` (which answers a symmetric branch

@@ -166,8 +166,11 @@ def make_semigroup(generators) -> NumericalSemigroup:
     each g, so i is reachable exactly when the two masks meet.  The stream
     stops at the first run of alpha (the multiplicity) reachable integers,
     which certifies the gap set: adding alpha to it reaches every larger
-    integer.  Reaching `schur_bound` on where such a run ends, without one,
-    raises BoundExceeded.
+    integer.  That run starts at the conductor beta, so the stream stops at
+    i = beta + alpha - 1 (or never starts, when alpha = 1).  The generators
+    are coprime, so beta <= (alpha - 1)(max - 1) (Schur), and the stream
+    ends below `schur_bound`; for two generators beta is (a - 1)(b - 1)
+    and beta + alpha is the bound itself.
 
     >>> make_semigroup((4, 5, 7)).gaps
     (1, 2, 3, 6)
@@ -182,15 +185,12 @@ def make_semigroup(generators) -> NumericalSemigroup:
     if math.gcd(*gens) != 1:
         raise GcdNotOne(f"generators {gens} have gcd {math.gcd(*gens)}")
     alpha = gens[0]
-    cap = schur_bound(alpha, gens[-1])
     taps = bitmask(g - 1 for g in gens)
     keep = (1 << gens[-1]) - 1
     recent, run, i = 1, 1, 0
     gaps = []
     while run < alpha:
         i += 1
-        if i >= cap:
-            raise BoundExceeded("no run of alpha reachable integers within Schur's bound")
         if recent & taps:
             recent = (recent << 1 | 1) & keep
             run += 1

@@ -207,6 +207,36 @@ class TestBuildCatalog:
             build_catalog([-1])
 
 
+class TestOneRecordPerCurve:
+    """A catalog row is its curve's `analyze` record with the scroll
+    structures of its canonical model filled in; a bare record has none
+    and does not render."""
+
+    @staticmethod
+    def assert_row_is_record(row):
+        assert row._replace(structures=None) == analyze(make_curve(row.exponents))
+        assert row.structures == scroll_structures(row.canonical)
+
+    def test_catalog_rows(self):
+        rows = build_catalog(range(1, 9))
+        assert len(rows) == 1 + 2 + 4 + 7 + 12 + 23 + 39 + 67
+        for row in rows:
+            self.assert_row_is_record(row)
+
+    def test_fixture_curve_rows(self):
+        rows = [row for name in fixture_names() for row in fixture(name)]
+        assert len(rows) == 74
+        for row in rows:
+            self.assert_row_is_record(row_for_curve(make_curve(row.exponents)))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_bare_record_does_not_render(self, fmt):
+        record = analyze(make_curve((4, 5, 7, 8)))
+        assert record.structures is None
+        with pytest.raises(TypeError):
+            render([record], fmt)
+
+
 class TestRender:
     def test_empty_csv_is_header_only(self):
         out = render([], "csv")

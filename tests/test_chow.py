@@ -256,6 +256,7 @@ class TestAmbient:
 
     def test_dims_sorted(self):
         assert Ambient((3, 1, 2)).dims == (1, 2, 3)
+        assert Ambient(m for m in (3, 1, 2)).dims == (1, 2, 3)
 
     def test_smoothness(self):
         assert Ambient((1, 1)).smooth
@@ -609,12 +610,52 @@ class TestIntegerInputOnly:
             (pa_from_bundle, (Ambient((1, 1, 1)), RankTwoBundleClass(2, 0, Fraction(1), 0)),
              "Fraction(1, 1)"),
             (pa_from_bundle, (Ambient((1, 1, 1)), RankTwoBundleClass(2, 0.0, 1, 0)), "0.0"),
+            (euler_characteristic, (Ambient((1, 1)), DivisorClass("1", 0)), "'1'"),
+            (pa_from_bundle, (Ambient((1, 1, 1)), RankTwoBundleClass("1", 0, 1, 0)), "'1'"),
         ],
     )
     def test_entry_points_refuse_non_int_arguments(self, function, args, shown):
         with pytest.raises(ValueError) as info:
             function(*args)
         assert str(info.value) == f"Chow operations need integers, got {shown}"
+
+    @pytest.mark.parametrize(
+        "dims, shown",
+        [
+            ((1.5, 2.7), "1.5"),
+            ((2.0, 1), "2.0"),
+            ((1, Fraction(2)), "Fraction(2, 1)"),
+            (("1", 2), "'1'"),
+            ((2, "x"), "'x'"),
+        ],
+    )
+    def test_ambient_refuses_non_int_entries(self, dims, shown):
+        with pytest.raises(ValueError) as info:
+            Ambient(dims)
+        assert str(info.value) == f"Chow operations need integers, got {shown}"
+
+    @pytest.mark.parametrize(
+        "d, e, shown",
+        [
+            (2, 2.0, "2.0"),
+            (2.0, 2, "2.0"),
+            (2, Fraction(5), "Fraction(5, 1)"),
+            (Fraction(3), 6, "Fraction(3, 1)"),
+            ("2", 2, "'2'"),
+            (2, "5", "'5'"),
+        ],
+    )
+    def test_balanced_refuses_non_int_arguments(self, d, e, shown):
+        # an equal int key in the typed cache must not answer for the refused call
+        Ambient.balanced(int(d), int(e))
+        before = Ambient.balanced.cache_info()
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                Ambient.balanced(d, e)
+            assert str(info.value) == f"Chow operations need integers, got {shown}"
+        # both refused calls missed: the first left nothing for the second to hit
+        after = Ambient.balanced.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
 
     def test_cone_refusal_comes_first(self):
         half = Fraction(1, 2)

@@ -35,6 +35,7 @@ from scrollcurves.semigroups import (
     make_semigroup,
     mu_local,
     recover_from_kappa_star,
+    schur_bound,
     set_bits,
 )
 
@@ -443,6 +444,30 @@ class TestStreamingSieve:
         s = make_semigroup((a, b))
         assert s.delta == (a - 1) * (b - 1) // 2
         assert s.gamma == a * b - a - b
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(gcd_one_generators, wide_generators))
+    def test_stream_stops_below_schur_bound(self, gens):
+        """The stream stops at beta + alpha - 1, which Schur's bound on the
+        conductor keeps below `schur_bound`; the conductor is read from the
+        reference sieve."""
+        gaps = any_sieve_gaps(gens)
+        beta = gaps[-1] + 1 if gaps else 0
+        assert beta + min(gens) - 1 < schur_bound(min(gens), max(gens))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 60), st.integers(2, 400))
+        .map(sorted)
+        .filter(lambda pair: pair[0] < pair[1] and math.gcd(*pair) == 1)
+    )
+    def test_two_generators_meet_schur_bound(self, pair):
+        """For two generators the bound is tight: beta + alpha is the bound
+        itself, so the stream's last step is the bound less one."""
+        a, b = pair
+        gaps = any_sieve_gaps(pair)
+        beta = gaps[-1] + 1 if gaps else 0
+        assert beta + a == schur_bound(a, b)
 
     def test_large_top_generator_is_fast(self):
         start = time.perf_counter()
