@@ -321,12 +321,12 @@ def euler_characteristic(amb: Ambient, c: DivisorClass) -> int:
     H / 2, is refused with a ValueError, after the smoothness and
     dimension checks."""
     _require_smooth(amb)
-    if amb.d not in _CHI_DENOMINATOR:
+    den = _CHI_DENOMINATOR.get(amb.d)
+    if den is None:
         raise UnsupportedDimension(f"closed-form chi needs d in {{2, 3}}, got d={amb.d}")
     _require_ints(*c)
     closed = _chi_closed_numerator(amb, c)
     ring = _chi_ring_numerator(amb, c)
-    den = _CHI_DENOMINATOR[amb.d]
     if closed != ring:
         raise PathsDisagree(
             f"chi closed form {Fraction(closed, den)} vs ring evaluation "
