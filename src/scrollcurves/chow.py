@@ -2,15 +2,19 @@
 
 The Chow ring of a smooth d-dimensional scroll of degree e is generated by
 the hyperplane class H and the fiber class F subject to F^2 = 0,
-H^(d+1) = 0, H^d F = 0 and H^d = e H^(d-1) F.  Elements are kept in normal
-form as dictionaries mapping (i, j) to the coefficient of H^i F^j, and
-`chow_element` is the one normal form: `chow_mul` drops the vanishing
-monomials of a product as it forms them and hands the rest to it.  The
-coefficients are integers, as are H, F, the Chern classes and every divisor
-and bundle class.  `chow_element` refuses any other coefficient with a
-ValueError, after the smoothness test, and `Ambient`, `Ambient.balanced`,
-`h0_class`, `euler_characteristic`, `pa_from_bundle` and the genus
-formulas refuse any other argument the same way.
+H^(d+1) = 0, H^d F = 0 and H^d = e H^(d-1) F.  It is graded by
+codimension, free of rank 2 on H^k and H^(k-1) F in each codimension
+1 <= k <= d - 1 and of rank 1 in codimensions 0 and d.  Every class the
+routes below form is homogeneous, so a class is a plain tuple (k, a, b),
+meaning a H^k + b H^(k-1) F, and two classes of one codimension add
+entrywise.  `chow_class` is the one checked constructor: it refuses a
+cone, then any entry that is not an int (a Fraction, float or string)
+with a ValueError, then a codimension outside [0, d], and folds H^d into
+e H^(d-1) F, so a codimension-d class is (d, 0, degree).  `chow_mul`
+multiplies two such classes in closed form, checking only the
+smoothness.  `Ambient`, `Ambient.balanced`, `h0_class`,
+`euler_characteristic`, `pa_from_bundle` and the genus formulas refuse a
+non-int argument with the constructor's text.
 A scroll's dimension d and degree e are set once, when its `Ambient` (a
 small immutable slotted class, hashed by its type) is built;
 `Ambient.balanced` hands out one shared scroll per (d, e), and the tangent
@@ -42,9 +46,6 @@ from .errors import (
     PathsDisagree,
     UnsupportedDimension,
 )
-
-ChowElement = dict[tuple[int, int], int]
-
 
 class Ambient:
     """A rational normal scroll of type (m_1 <= ... <= m_d), with its
@@ -141,59 +142,48 @@ def _require_ints(*values) -> None:
             raise ValueError(f"Chow operations need integers, got {v!r}")
 
 
-def chow_element(amb: Ambient, coefficients) -> ChowElement:
-    """Normal form of a coefficient dictionary {(i, j): c} for H^i F^j;
-    every coefficient must be an int (a Fraction, float or string is
-    refused, after the scroll's smoothness)."""
+def chow_class(amb: Ambient, k: int, h: int, f: int) -> tuple[int, int, int]:
+    """The class h H^k + f H^(k-1) F of codimension k, as (k, h, f), on a
+    smooth scroll; k, h and f must be ints, 0 <= k <= d, and f must be 0
+    at k = 0.  At k = d the class is folded to (d, 0, e h + f)."""
     _require_smooth(amb)
-    d, e = amb.d, amb.e
-    out: ChowElement = {}
-    for (i, j), c in coefficients.items():
-        if not isinstance(c, int):
-            _require_ints(c)
-        if c == 0 or j >= 2 or i > d:
-            continue
-        if i == d:
-            if j == 1:
-                continue
-            i, j, c = d - 1, 1, c * e
-        key = (i, j)
-        out[key] = out.get(key, 0) + c
-    # every other key holds one nonzero input; only the top class, where
-    # H^d lands, can cancel
-    top = (d - 1, 1)
-    if out.get(top, 1) == 0:
-        del out[top]
-    return out
-
-
-def divisor_element(amb: Ambient, c: DivisorClass) -> ChowElement:
-    return chow_element(amb, {(1, 0): c.h, (0, 1): c.f})
-
-
-def chow_mul(amb: Ambient, x: ChowElement, y: ChowElement) -> ChowElement:
-    """The product in normal form: monomials that vanish (F^2, H^(d+1),
-    H^d F) are dropped as they are formed, and `chow_element` folds the at
-    most 2d + 1 surviving sums."""
+    _require_ints(k, h, f)
     d = amb.d
-    raw: ChowElement = {}
-    for (i1, j1), c1 in x.items():
-        for (i2, j2), c2 in y.items():
-            i, j = i1 + i2, j1 + j2
-            if j < 2 and (i < d or (i == d and j == 0)):
-                key = (i, j)
-                raw[key] = raw.get(key, 0) + c1 * c2
-    return chow_element(amb, raw)
+    if not 0 <= k <= d:
+        raise ValueError(
+            f"a class on a scroll of dimension {d} needs codimension 0..{d}, got {k}"
+        )
+    if k == 0 and f:
+        raise ValueError(f"a codimension-0 class has no fiber part, got f={f}")
+    if k == d:
+        return d, 0, amb.e * h + f
+    return k, h, f
 
 
-def chow_degree(amb: Ambient, x: ChowElement) -> int:
-    """Coefficient of the top class H^(d-1) F; anything else present means
-    the element is not top-dimensional."""
-    top = (amb.d - 1, 1)
-    for key, c in x.items():
-        if key != top and c != 0:
-            raise NotTopDimensional(f"class has a component on H^{key[0]} F^{key[1]}")
-    return x.get(top, 0)
+def chow_mul(amb: Ambient, x: tuple, y: tuple) -> tuple[int, int, int]:
+    """The product of two classes made by `chow_class` or `chow_mul`:
+    (a H^k + b H^(k-1) F)(c H^l + f H^(l-1) F) is ac H^(k+l) +
+    (af + bc) H^(k+l-1) F, as F^2 = 0; at k + l = d, H^d = e H^(d-1) F
+    folds it to (d, 0, e ac + af + bc), and past d it is zero.  Only the
+    scroll's smoothness is checked: the constructor checked the entries."""
+    _require_smooth(amb)
+    (k, a, b), (l, c, f) = x, y
+    n, d = k + l, amb.d
+    if n < d:
+        return n, a * c, a * f + b * c
+    if n == d:
+        return d, 0, amb.e * a * c + a * f + b * c
+    return n, 0, 0
+
+
+def chow_degree(amb: Ambient, x: tuple) -> int:
+    """The degree of a codimension-d class, its coefficient of the point
+    class H^(d-1) F; 0 for a zero class of any codimension, and
+    NotTopDimensional for any other class."""
+    k, a, b = x
+    if a == 0 and (k == amb.d or b == 0):
+        return b
+    raise NotTopDimensional(f"class {x} is not top-dimensional on a scroll of dimension {amb.d}")
 
 
 def h0_class(amb: Ambient, c: DivisorClass) -> tuple[int, bool]:
@@ -230,34 +220,31 @@ class _Tangent(NamedTuple):
     scroll: c1, c2, c1^2 + c2, and the integer Todd degree (the degree of
     c1^2 + c2 on a surface, of c1 c2 on a threefold)."""
 
-    c1: ChowElement
-    c2: ChowElement
-    c1sq_plus_c2: ChowElement
+    c1: tuple
+    c2: tuple
+    c1sq_plus_c2: tuple
     todd: int
 
 
 @lru_cache(maxsize=256)
 def _tangent(amb: Ambient) -> _Tangent:
     """The tangent terms of a smooth scroll with d in {2, 3}, formed once
-    per scroll through the ring.  Only the ring routes read them; the
-    dicts are shared between calls, so nothing may mutate them."""
+    per scroll through the ring.  Only the ring routes read them."""
     e = amb.e
     if amb.d == 2:
-        c1 = chow_element(amb, {(1, 0): 2, (0, 1): 2 - e})
-        c2 = chow_element(amb, {(1, 1): 4})
+        c1 = chow_class(amb, 1, 2, 2 - e)
+        c2 = chow_class(amb, 2, 0, 4)
     elif amb.d == 3:
-        c1 = chow_element(amb, {(1, 0): 3, (0, 1): 2 - e})
-        c2 = chow_element(amb, {(2, 0): 3, (1, 1): 6 - 2 * e})
+        c1 = chow_class(amb, 1, 3, 2 - e)
+        c2 = chow_class(amb, 2, 3, 6 - 2 * e)
     else:
         raise UnsupportedDimension(
             f"tangent Chern classes coded for d=2,3 only, got d={amb.d}"
         )
     c1sq = chow_mul(amb, c1, c1)
-    if amb.d == 2:
-        todd = chow_degree(amb, c1sq) + chow_degree(amb, c2)
-    else:
-        todd = chow_degree(amb, chow_mul(amb, c1, c2))
-    return _Tangent(c1, c2, _add(c1sq, c2), todd)
+    c1sq_plus_c2 = (2, c1sq[1] + c2[1], c1sq[2] + c2[2])
+    todd = chow_degree(amb, c1sq_plus_c2 if amb.d == 2 else chow_mul(amb, c1, c2))
+    return _Tangent(c1, c2, c1sq_plus_c2, todd)
 
 
 # the common denominator of the chi numerators, by scroll dimension
@@ -287,9 +274,10 @@ def _chi_ring_numerator(amb: Ambient, c: DivisorClass) -> int:
     expansion), as an independent route to the closed form: the integer
     degrees of the expansion over their common denominator."""
     tangent = _tangent(amb)
-    dd = divisor_element(amb, c)
+    dd = chow_class(amb, 1, c.h, c.f)
     if amb.d == 2:
-        return 6 * chow_degree(amb, chow_mul(amb, dd, _add(dd, tangent.c1))) + tangent.todd
+        _, h, f = tangent.c1
+        return 6 * chow_degree(amb, chow_mul(amb, dd, (1, c.h + h, c.f + f))) + tangent.todd
     d2 = chow_mul(amb, dd, dd)
     d3 = chow_mul(amb, d2, dd)
     return (
@@ -298,13 +286,6 @@ def _chi_ring_numerator(amb: Ambient, c: DivisorClass) -> int:
         + 2 * chow_degree(amb, chow_mul(amb, dd, tangent.c1sq_plus_c2))
         + tangent.todd
     )
-
-
-def _add(x: ChowElement, y: ChowElement) -> ChowElement:
-    out = dict(x)
-    for k, v in y.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v != 0}
 
 
 def euler_characteristic(amb: Ambient, c: DivisorClass) -> int:
@@ -361,10 +342,10 @@ def _bundle_chi_dual_numerator(amb: Ambient, b: RankTwoBundleClass) -> int:
     # times 24 as 2 t1 t2 - 2 c1 (t1^2 + t2) + 6 (c1^2 - 2 c2) t1
     # - 4 (c1^3 - 3 c1 c2) with t1, t2 the tangent classes; every term is
     # top-dimensional, so the sum is one of integer degrees
-    c1 = chow_element(amb, {(1, 0): u, (0, 1): v})
-    c2 = chow_element(amb, {(2, 0): w, (1, 1): z})
+    c1 = chow_class(amb, 1, u, v)
+    c2 = chow_class(amb, 2, w, z)
     c1sq = chow_mul(amb, c1, c1)
-    c1sq_minus_2c2 = _add(c1sq, {k: -2 * v for k, v in c2.items()})
+    c1sq_minus_2c2 = (2, c1sq[1] - 2 * w, c1sq[2] - 2 * z)
     tangent = _tangent(amb)
     ring = (
         2 * tangent.todd
@@ -402,8 +383,8 @@ def pa_from_bundle(amb: Ambient, b: RankTwoBundleClass) -> int:
     path_b = _bundle_chi_dual_numerator(amb, b) - _chi_closed_numerator(
         amb, DivisorClass(-u, -v)
     )
-    c2e = chow_element(amb, {(2, 0): w, (1, 1): z})
-    adjoint = chow_element(amb, {(1, 0): u - 3, (0, 1): v + e - 2})
+    c2e = chow_class(amb, 2, w, z)
+    adjoint = chow_class(amb, 1, u - 3, v + e - 2)
     path_c = 24 + 12 * chow_degree(amb, chow_mul(amb, c2e, adjoint))
     if not (path_a == path_b == path_c):
         raise PathsDisagree(

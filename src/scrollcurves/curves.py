@@ -26,6 +26,7 @@ from .errors import (
 from .semigroups import (
     NumericalSemigroup,
     eta_local,
+    int_tuple,
     make_semigroup,
     mu_local,
     reverse_bits,
@@ -83,7 +84,8 @@ SCHUR_BOUND_LIMIT = 50_000
 
 
 def make_curve(exponents, schur_limit: int | None = None) -> MonomialCurve:
-    """Validate exponents and build the curve with both branches sieved.
+    """Validate exponents and build the curve with both branches sieved;
+    an exponent that is not an int is refused by `int_tuple`.
 
     Given a schur_limit, raise BoundExceeded, before either branch is
     sieved, when the `schur_bound` of a branch (past where the stream of
@@ -93,7 +95,7 @@ def make_curve(exponents, schur_limit: int | None = None) -> MonomialCurve:
     >>> make_curve((4, 5, 7, 8)).genus
     4
     """
-    exps = tuple(int(a) for a in exponents)
+    exps = int_tuple(exponents, "exponents")
     if not exps or exps[0] <= 0 or any(b <= a for a, b in zip(exps, exps[1:])):
         raise NotIncreasing(
             f"exponents must be strictly increasing positive integers, got {exps}"
@@ -203,9 +205,10 @@ def sheaf_degree_h0(curve: MonomialCurve, generator_exponents) -> SheafData:
     h0 counts the c in U0 with -c in U_inf, one popcount against U_inf
     reversed.  This general route certifies the dualizing sheaf, re-derives
     the degree of every winning gonality pencil, and is the oracle of the
-    pencils' closed form `_pencil`.
+    pencils' closed form `_pencil`.  A generator exponent that is not an
+    int is refused by `int_tuple`.
     """
-    gens = tuple(int(b) for b in generator_exponents)
+    gens = int_tuple(generator_exponents, "generator exponents")
     if not gens:
         raise ValueError("at least one generator exponent is required")
     first, last = min(gens), max(gens)

@@ -15,7 +15,7 @@ import math
 from itertools import accumulate, product
 
 from .chow import Ambient
-from .semigroups import bitmask
+from .semigroups import bitmask, int_tuple
 
 # Most block splits (`split_count`) the scrolls command walks: a few seconds.
 SPLIT_LIMIT = 1_000_000
@@ -148,8 +148,9 @@ def _run_count(mask: int, size: int, step: int) -> int:
 
 
 def _block_values(values, d: int | None = None) -> tuple[int, ...]:
-    """The sorted distinct values, checked to take d blocks if d is given."""
-    vals = tuple(sorted(set(int(v) for v in values)))
+    """The sorted distinct values, each an int (`int_tuple` refuses any
+    other), checked to take d blocks if d is given."""
+    vals = tuple(sorted(set(int_tuple(values, "exponents"))))
     if not vals:
         raise ValueError("the exponent set is empty")
     if d is not None and (d < 1 or d > len(vals)):

@@ -22,6 +22,23 @@ from .errors import (
 DEFAULT_GENUS_BOUND = 16
 
 
+def int_tuple(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple, each checked to be an int before anything
+    sorts or reads them: a float, Fraction or string is refused with a
+    ValueError naming it and `what`, not truncated.
+
+    >>> int_tuple((2.7, 3), "generators")
+    Traceback (most recent call last):
+    ...
+    ValueError: generators must be integers, got 2.7
+    """
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return values
+
+
 def bitmask(offsets) -> int:
     """The int with bit k set for each k in a collection of nonnegative ints.
 
@@ -158,7 +175,8 @@ def schur_bound(alpha: int, largest: int) -> int:
 def make_semigroup(generators) -> NumericalSemigroup:
     """Build the numerical semigroup generated by the given integers.
 
-    The generators must be positive with overall gcd 1.  Reachability is
+    The generators must be positive ints (`int_tuple` refuses any other
+    value, before sorting) with overall gcd 1.  Reachability is
     streamed upward from 0 (i is reachable when i - g is, for some generator
     g), and every unreachable integer is recorded as a gap as the stream
     passes it.  The last max(generators) reachability flags live in one int,
@@ -177,7 +195,7 @@ def make_semigroup(generators) -> NumericalSemigroup:
     >>> make_semigroup((3, 1001)).gamma
     1999
     """
-    gens = tuple(sorted({int(g) for g in generators}))
+    gens = tuple(sorted(set(int_tuple(generators, "generators"))))
     if not gens:
         raise EmptyGenerators("at least one generator is required")
     if gens[0] <= 0:

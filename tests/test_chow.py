@@ -1,10 +1,11 @@
 """Tests for the intersection-theory module.
 
-The integer-coefficient ring and its closed forms, integer numerators over
-12 on a surface and 24 on a threefold, are held to the Fraction-dict ring
-they replaced, kept below as test-local copies (`ref_*`): hypothesis
-compares normal forms, products, both closed forms, both ring routes and
-the genus on random smooth scrolls.
+The graded ring, whose class (k, a, b) is a H^k + b H^(k-1) F, and its
+closed forms, integer numerators over 12 on a surface and 24 on a
+threefold, are held to the Fraction-dict ring they replaced, kept below as
+test-local copies (`ref_*`): hypothesis compares each class and product
+with its dict image {(k, 0): a, (k - 1, 1): b}, and both closed forms, both
+ring routes and the genus, on random smooth scrolls.
 `test_chow_sympy.py` adds a symbolic third route.  The two scroll-statement
 reports of `scrollcurves.catalog`, which apply these formulas to a curve
 record, are tested at the end on real records.
@@ -29,10 +30,9 @@ from scrollcurves.chow import (
     _chi_closed_numerator,
     _chi_ring_numerator,
     _tangent,
+    chow_class,
     chow_degree,
-    chow_element,
     chow_mul,
-    divisor_element,
     euler_characteristic,
     genus_on_cone,
     genus_on_surface,
@@ -212,29 +212,29 @@ def smooth_ambients(ds=(2, 3)):
 
 
 small = st.integers(-30, 30)
-monomials = st.tuples(st.integers(0, 4), st.integers(0, 2))
-int_coefficients = st.dictionaries(monomials, small, max_size=8)
-# raw, non-normal dicts: exponents past H^d and F^1 on scrolls of dimension
-# up to 4, zero coefficients, and small values so that sums cancel
-raw_monomials = st.tuples(st.integers(0, 6), st.integers(0, 3))
-raw_int_elements = st.dictionaries(raw_monomials, st.integers(-3, 3), max_size=8)
 
 
-def normal_keys(amb):
-    return {(i, j) for i in range(amb.d) for j in (0, 1)}
+def homogeneous(d):
+    """Entries (k, h, f) of a class of codimension k in [0, d]: f is 0 at
+    k = 0, and small values let a sum cancel at k = d."""
+    return st.integers(0, d).flatmap(
+        lambda k: st.tuples(
+            st.just(k), st.integers(-4, 4), st.integers(-4, 4) if k else st.just(0)
+        )
+    )
 
 
-def raw_product(x, y):
-    raw = {}
-    for (i1, j1), c1 in x.items():
-        for (i2, j2), c2 in y.items():
-            key = (i1 + i2, j1 + j2)
-            raw[key] = raw.get(key, 0) + c1 * c2
-    return raw
+# a smooth scroll of dimension 1 to 4 with two homogeneous classes on it
+scroll_and_two_classes = smooth_ambients((1, 2, 3, 4)).flatmap(
+    lambda amb: st.tuples(st.just(amb), homogeneous(amb.d), homogeneous(amb.d))
+)
 
 
-def typed(element):
-    return {k: (v, type(v)) for k, v in element.items()}
+def image(x):
+    """The dict {(k, 0): a, (k - 1, 1): b} of a class (k, a, b), without
+    zero entries."""
+    k, a, b = x
+    return {key: c for key, c in (((k, 0), a), ((k - 1, 1), b)) if c}
 
 
 class TestAmbient:
@@ -265,11 +265,11 @@ class TestAmbient:
 
     def test_ops_require_smooth(self):
         cone = Ambient((0, 3))
-        with pytest.raises(ValueError):
-            chow_element(cone, {(1, 0): 1})
-        # chow_mul folds its product through chow_element, which refuses
         with pytest.raises(ValueError, match="smooth scroll"):
-            chow_mul(cone, {(1, 0): 1}, {(0, 1): 1})
+            chow_class(cone, 1, 1, 0)
+        # chow_mul checks the scroll itself, on classes it did not build
+        with pytest.raises(ValueError, match="smooth scroll"):
+            chow_mul(cone, (1, 1, 0), (1, 0, 1))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -305,51 +305,76 @@ class TestAmbient:
 class TestRingNormalForm:
     def test_top_power_rewrites(self):
         amb = Ambient((1, 1, 1))
-        assert chow_element(amb, {(3, 0): 1}) == {(2, 1): 3}
-        assert type(chow_element(amb, {(3, 0): 1})[(2, 1)]) is int
-        # coefficients that cancel leave no entry
-        assert chow_element(amb, {(3, 0): 1, (2, 1): -3}) == {}
+        assert chow_class(amb, 3, 1, 0) == (3, 0, 3)
+        assert all(type(c) is int for c in chow_class(amb, 3, 1, 0))
+        # H^3 - 3 H^2 F cancels to the zero class
+        assert chow_class(amb, 3, 1, -3) == (3, 0, 0)
 
     def test_vanishing_monomials(self):
         amb = Ambient((1, 1, 1))
-        assert chow_element(amb, {(3, 1): 1}) == {}
-        assert chow_element(amb, {(0, 2): 5}) == {}
-        assert chow_element(amb, {(4, 0): 1}) == {}
+        h, f = chow_class(amb, 1, 1, 0), chow_class(amb, 1, 0, 1)
+        h3 = chow_class(amb, 3, 1, 0)
+        # H^3 F, F^2 and H^4
+        for x, y in ((h3, f), (f, f), (h3, h)):
+            product = chow_mul(amb, x, y)
+            assert product[1:] == (0, 0) and chow_degree(amb, product) == 0
 
     def test_fiber_squares_to_zero(self):
         amb = Ambient((2, 2))
-        f = chow_element(amb, {(0, 1): 1})
-        assert chow_mul(amb, f, f) == {}
+        f = chow_class(amb, 1, 0, 1)
+        assert chow_mul(amb, f, f) == (2, 0, 0)
 
     def test_hyperplane_cube_degree(self):
         amb = Ambient((1, 1, 1))
-        h = chow_element(amb, {(1, 0): 1})
+        h = chow_class(amb, 1, 1, 0)
         h2 = chow_mul(amb, h, h)
         assert chow_degree(amb, chow_mul(amb, h2, h)) == 3
 
     def test_hyperplane_square_fiber(self):
         amb = Ambient((1, 1, 1))
-        h = chow_element(amb, {(1, 0): 1})
+        h = chow_class(amb, 1, 1, 0)
         h2 = chow_mul(amb, h, h)
-        assert chow_degree(amb, chow_mul(amb, h2, chow_element(amb, {(0, 1): 1}))) == 1
+        assert chow_degree(amb, chow_mul(amb, h2, chow_class(amb, 1, 0, 1))) == 1
 
     def test_surface_divisor_product(self):
         amb = Ambient.balanced(2, 4)
-        d = divisor_element(amb, DivisorClass(2, 3))
-        assert chow_degree(amb, chow_mul(amb, d, chow_element(amb, {(1, 0): 1}))) == 11
+        d = chow_class(amb, 1, 2, 3)
+        assert chow_degree(amb, chow_mul(amb, d, chow_class(amb, 1, 1, 0))) == 11
 
     def test_degree_rejects_mixed(self):
         amb = Ambient((1, 1))
         with pytest.raises(NotTopDimensional):
-            chow_degree(amb, chow_element(amb, {(1, 0): 1}))
+            chow_degree(amb, chow_class(amb, 1, 1, 0))
+        with pytest.raises(NotTopDimensional):
+            chow_degree(amb, chow_class(amb, 1, 0, 1))
 
     def test_mul_degree_none_when_not_top(self):
         amb = Ambient((1, 1, 1))
-        h = chow_element(amb, {(1, 0): 1})
+        h = chow_class(amb, 1, 1, 0)
         product = chow_mul(amb, h, h)
-        assert product == {(2, 0): Fraction(1)}
-        with pytest.raises(NotTopDimensional):
+        assert product == (2, 1, 0)
+        with pytest.raises(NotTopDimensional) as info:
             chow_degree(amb, product)
+        assert str(info.value) == (
+            "class (2, 1, 0) is not top-dimensional on a scroll of dimension 3"
+        )
+
+    @pytest.mark.parametrize(
+        "dims, k, f, text",
+        [
+            ((1, 2), -1, 0, "a class on a scroll of dimension 2 needs codimension 0..2, got -1"),
+            ((1, 2), 3, 0, "a class on a scroll of dimension 2 needs codimension 0..2, got 3"),
+            ((1, 1, 1), 4, 1, "a class on a scroll of dimension 3 needs codimension 0..3, got 4"),
+            ((1, 1, 1), 0, 1, "a codimension-0 class has no fiber part, got f=1"),
+        ],
+    )
+    def test_codimension_outside_range_refused(self, dims, k, f, text):
+        with pytest.raises(ValueError) as info:
+            chow_class(Ambient(dims), k, 1, f)
+        assert str(info.value) == text
+        # the cone's refusal comes first
+        with pytest.raises(ValueError, match="smooth scroll"):
+            chow_class(Ambient((0,) + dims[1:]), k, 1, f)
 
 
 class TestSections:
@@ -385,7 +410,7 @@ class TestSections:
             k = ref_canonical_class(amb)
             # K is minus the c1 both ring routes use, and Serre duality
             # chi(K - D) = (-1)^d chi(D) holds for the library's chi
-            assert divisor_element(amb, DivisorClass(-k.h, -k.f)) == _tangent(amb).c1
+            assert chow_class(amb, 1, -k.h, -k.f) == _tangent(amb).c1
             for h in range(-3, 4):
                 for f in range(-3, 4):
                     c = DivisorClass(h, f)
@@ -501,46 +526,47 @@ class TestBundleGenus:
 
 
 class TestIntegerRingOracle:
-    """The integer ring against the Fraction-dict copies above, in value;
-    every class and twist coefficient is in [-30, 30]."""
+    """The graded integer ring against the Fraction-dict copies above, in
+    value; every divisor, bundle and twist coefficient is in [-30, 30], and
+    every entry of a random homogeneous class in [-4, 4]."""
 
     @settings(max_examples=200, deadline=None)
-    @given(smooth_ambients(), int_coefficients)
-    def test_chow_element_int_inputs_stay_ints(self, amb, coefficients):
-        element = chow_element(amb, coefficients)
-        assert element == ref_chow_element(amb, coefficients)
-        assert all(type(c) is int and c != 0 for c in element.values())
+    @given(scroll_and_two_classes)
+    def test_chow_element_int_inputs_stay_ints(self, drawn):
+        amb, x, _ = drawn
+        element = chow_class(amb, *x)
+        assert image(element) == ref_chow_element(amb, image(x))
+        assert all(type(c) is int for c in element)
 
     @settings(max_examples=300, deadline=None)
-    @given(smooth_ambients((1, 2, 3, 4)), raw_int_elements, raw_int_elements)
-    # H^2 sums to zero and HF to 2: no zero term is left
-    @example(Ambient((1, 2)), {(0, 0): 1, (1, 0): 0}, {(1, 1): 2, (1, 0): 1})
-    # H^2 = 3 HF on S(1, 2) cancels -3 HF: no zero term is left
-    @example(Ambient((1, 2)), {(0, 0): 1}, {(2, 0): 1, (1, 1): -3})
-    def test_product_of_raw_dicts(self, amb, x, y):
+    @given(scroll_and_two_classes)
+    # H^2 = 3 HF on S(1, 2) cancels -3 HF: the product is the zero class
+    @example((Ambient((1, 2)), (0, 1, 0), (2, 1, -3)))
+    # H^2 on P^1 x P^1 is 2 HF, and H F + F H adds 2 more
+    @example((Ambient((1, 1)), (1, 1, 1), (1, 1, 1)))
+    def test_graded_product_matches_dict_ring(self, drawn):
+        """`chow_mul` and `chow_degree` on homogeneous classes of scrolls of
+        dimension 1 to 4 equal the dict ring on their images."""
+        amb, x, y = drawn
+        x, y = chow_class(amb, *x), chow_class(amb, *y)
         product = chow_mul(amb, x, y)
-        assert product == ref_chow_mul(amb, x, y)
-        assert set(product) <= normal_keys(amb)
-        assert all(type(c) is int and c != 0 for c in product.values())
-        # the one-pass product is the normal form of the raw product,
-        # coefficient types included
-        assert typed(product) == typed(chow_element(amb, raw_product(x, y)))
-
-    @settings(max_examples=300, deadline=None)
-    @given(smooth_ambients((1, 2, 3, 4)), raw_int_elements, raw_int_elements)
-    def test_product_of_raw_int_dicts_stays_int(self, amb, x, y):
-        product = chow_mul(amb, x, y)
-        assert product == ref_chow_mul(amb, x, y)
-        assert set(product) <= normal_keys(amb)
-        assert all(type(c) is int and c != 0 for c in product.values())
+        expected = ref_chow_mul(amb, image(x), image(y))
+        assert image(product) == expected
+        assert product[0] == x[0] + y[0] and all(type(c) is int for c in product)
+        if set(expected) <= {(amb.d - 1, 1)}:
+            degree = chow_degree(amb, product)
+            assert type(degree) is int and degree == ref_degree(amb, expected)
+        else:
+            with pytest.raises(NotTopDimensional):
+                chow_degree(amb, product)
 
     @settings(max_examples=200, deadline=None)
     @given(smooth_ambients(), small, small, small, small)
     def test_integer_degree_is_an_int(self, amb, h1, f1, h2, f2):
-        x = divisor_element(amb, DivisorClass(h1, f1))
+        x = chow_class(amb, 1, h1, f1)
         for _ in range(amb.d - 2):
-            x = chow_mul(amb, x, chow_element(amb, {(1, 0): 1}))
-        product = chow_mul(amb, x, divisor_element(amb, DivisorClass(h2, f2)))
+            x = chow_mul(amb, x, chow_class(amb, 1, 1, 0))
+        product = chow_mul(amb, x, chow_class(amb, 1, h2, f2))
         degree = chow_degree(amb, product)
         assert type(degree) is int
         ref_x = ref_chow_element(amb, {(1, 0): h1, (0, 1): f1})
@@ -586,14 +612,15 @@ class TestIntegerInputOnly:
     comes first."""
 
     def test_chow_element_refuses_non_int_coefficients(self):
-        # a zero of another type is refused too, not skipped
+        # a zero of another type is refused too, in every entry of a class
         for value in (Fraction(1, 2), 0.5, "1/2", Fraction(0), 2.0):
-            with pytest.raises(ValueError) as info:
-                chow_element(Ambient((1, 1)), {(0, 1): 1, (1, 0): value})
-            assert str(info.value) == f"Chow operations need integers, got {value!r}"
-            with pytest.raises(ValueError) as info:
-                chow_element(Ambient((0, 2)), {(1, 0): value})
-            assert str(info.value) == "Chow operations need a smooth scroll, got (0, 2)"
+            for entries in ((value, 1, 0), (1, value, 0), (1, 1, value)):
+                with pytest.raises(ValueError) as info:
+                    chow_class(Ambient((1, 1)), *entries)
+                assert str(info.value) == f"Chow operations need integers, got {value!r}"
+                with pytest.raises(ValueError) as info:
+                    chow_class(Ambient((0, 2)), *entries)
+                assert str(info.value) == "Chow operations need a smooth scroll, got (0, 2)"
 
     @pytest.mark.parametrize(
         "function, args, shown",
@@ -693,9 +720,9 @@ class TestTangentTerms:
             assert info.misses == 1 and info.hits == 4 * len(classes) + 4 * len(first[1]) - 1
             tangent = _tangent(amb)
             c1, c2 = ref_chern_classes(amb)
-            assert (tangent.c1, tangent.c2) == (c1, c2)
+            assert (image(tangent.c1), image(tangent.c2)) == (c1, c2)
             c1sq = ref_chow_mul(amb, c1, c1)
-            assert tangent.c1sq_plus_c2 == ref_add(c1sq, c2)
+            assert image(tangent.c1sq_plus_c2) == ref_add(c1sq, c2)
             todd = ref_degree(amb, ref_add(c1sq, c2) if amb.d == 2 else ref_chow_mul(amb, c1, c2))
             assert type(tangent.todd) is int and tangent.todd == todd
 
@@ -753,14 +780,14 @@ class TestErrorTexts:
         """The Chow-product path reads K + c1(E) with one fiber too many."""
         amb, bundle = Ambient((1, 1, 1)), RankTwoBundleClass(2, 0, 1, 0)
         assert pa_from_bundle(amb, bundle) == 0
-        real = chow_module.chow_element
+        real = chow_module.chow_class
 
-        def shifted(amb, coefficients):
-            if coefficients == {(1, 0): -1, (0, 1): 1}:
-                coefficients = {(1, 0): -1, (0, 1): 2}
-            return real(amb, coefficients)
+        def shifted(amb, k, h, f):
+            if (k, h, f) == (1, -1, 1):
+                f = 2
+            return real(amb, k, h, f)
 
-        monkeypatch.setattr(chow_module, "chow_element", shifted)
+        monkeypatch.setattr(chow_module, "chow_class", shifted)
         with pytest.raises(PathsDisagree) as info:
             pa_from_bundle(amb, bundle)
         assert str(info.value) == "genus paths disagree: 0, 0, 1/2"

@@ -161,6 +161,16 @@ class TestConstruction:
         with pytest.raises(GcdNotOne):
             make_curve((2, 4))
 
+    def test_non_int_inputs_refused(self):
+        for exponents, shown in (((4.9, 5, 7, 8), "4.9"), ((4, "5", 7, 8), "'5'")):
+            with pytest.raises(ValueError) as info:
+                make_curve(exponents)
+            assert str(info.value) == f"exponents must be integers, got {shown}"
+        curve = make_curve((4, 5, 7, 8))
+        with pytest.raises(ValueError) as info:
+            sheaf_degree_h0(curve, (0, 2.9))
+        assert str(info.value) == "generator exponents must be integers, got 2.9"
+
     def test_schur_limit_on_each_branch(self):
         # at infinity (3, b) has drops b - 3 and b: (b - 4)(b - 1) + b - 3
         assert make_curve((3, 224), SCHUR_BOUND_LIMIT).exponents == (3, 224)

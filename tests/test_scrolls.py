@@ -213,6 +213,12 @@ class TestStructures:
         with pytest.raises(ValueError):
             scroll_structures((), 1)
 
+    def test_non_int_values_refused(self):
+        for function in (scroll_structures, min_scroll_dimension):
+            with pytest.raises(ValueError) as info:
+                function((0, 1.5, 2, 3.2))
+            assert str(info.value) == "exponents must be integers, got 1.5"
+
     def test_single_point(self):
         structures = scroll_structures((0,), 1)
         assert structures == (ScrollStructure(1, ((0,),), 1),)

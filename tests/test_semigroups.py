@@ -331,6 +331,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_semigroup((-3, 5))
 
+    @pytest.mark.parametrize(
+        "generators, shown",
+        [((2.7, 3), "2.7"), (("4", "5", "7"), "'4'"), ((2, "3"), "'3'"), ((4.0, 5), "4.0")],
+    )
+    def test_non_int_generators_refused(self, generators, shown):
+        """Each value is checked before sorting, so a mixed (2, '3') gets
+        the same refusal, not a TypeError, and nothing is truncated."""
+        with pytest.raises(ValueError) as info:
+            make_semigroup(generators)
+        assert str(info.value) == f"generators must be integers, got {shown}"
+        # a one-pass iterable is still read once
+        assert make_semigroup(g for g in (4, 5, 7)) == make_semigroup((4, 5, 7))
+
     def test_minimal_generators(self):
         assert make_semigroup((2, 3, 4)).minimal_generators == (2, 3)
         assert make_semigroup((4, 5, 6, 7, 8, 9)).minimal_generators == (4, 5, 6, 7)
