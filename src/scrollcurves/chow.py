@@ -47,6 +47,7 @@ from .errors import (
     UnsupportedDimension,
 )
 
+
 class Ambient:
     """A rational normal scroll of type (m_1 <= ... <= m_d), with its
     dimension `d` and degree `e` = m_1 + ... + m_d; each m_i must be an
