@@ -19,14 +19,8 @@ import json
 import os
 import sys
 
-from .catalog import (
-    audit_fixture,
-    build_catalog,
-    check_scroll_correspondence,
-    format_exponents,
-    render,
-    row_for_curve,
-)
+from .catalog import audit_fixture, build_catalog, format_exponents, render, row_for_curve
+from .checks import check_scroll_correspondence
 from .chow import Ambient, DivisorClass, RankTwoBundleClass, euler_characteristic, pa_from_bundle
 from .curves import SCHUR_BOUND_LIMIT, canonical_exponents, gonality, make_curve
 from .errors import BoundExceeded, ScrollCurvesError, UnsupportedDimension

@@ -16,7 +16,6 @@ from scrollcurves.catalog import (
     format_exponents,
     render,
     row_for_curve,
-    surface_scroll_report,
 )
 from scrollcurves.curves import analyze, canonical_exponents, make_curve, representative_curve
 from scrollcurves.errors import BoundExceeded, UnknownFixture
@@ -351,51 +350,6 @@ class TestRowByRowJson:
             tracemalloc.stop()
         assert len(out) > 400_000
         assert peak < 4 * len(out), (peak, len(out))
-
-
-# A registered discrepancy, pinned like the `expect_flag` fixture rows: the
-# family (3, 3k + 1, 6k - 2, 6k - 1), k = 2..5, of genus 3k - 1.  Each curve
-# is Kunz at a single point and carries a cubic surface structure with
-# 3m = g - 2, so the equality half of `cubic-dimension-bound` (3m = g - 3
-# iff Kunz at a single point) fails.  The abstract alone cannot say
-# whether the report or the statement is off; it is reported, never
-# corrected.
-CUBIC_BOUND_FAMILY = tuple((3, 3 * k + 1, 6 * k - 2, 6 * k - 1) for k in range(2, 6))
-
-
-class TestSurfaceStatements:
-    """`surface_scroll_report` on every generated non-Gorenstein row whose
-    canonical model lies on a surface scroll, genus 4 to 16."""
-
-    def test_only_the_registered_family_fails(self):
-        rows = [
-            row
-            for d in (1, 2)
-            for row in build_catalog(range(4, 17), non_gorenstein=True, scroll_dim=d)
-        ]
-        assert len(rows) == 467
-        fails = sorted(
-            (row.exponents, f.item)
-            for row in rows
-            for f in surface_scroll_report(row)
-            if f.status == "fail"
-        )
-        assert fails == [(e, "cubic-dimension-bound") for e in CUBIC_BOUND_FAMILY]
-
-    def test_registered_family_shape(self):
-        for k, exponents in enumerate(CUBIC_BOUND_FAMILY, start=2):
-            row = row_for_curve(make_curve(exponents))
-            assert (row.genus, row.eta, row.mu, row.eta_branches) == (3 * k - 1, 1, 1, (1, 0))
-            assert row.flags["kunz"]
-            cubics = [s.m_min for s in scroll_structures(row.canonical, 2) if s.ell == 3]
-            assert cubics == [k - 1]
-            assert 3 * cubics[0] == row.genus - 2
-
-    def test_larger_scroll_dimension_not_applicable(self):
-        rows = build_catalog(range(4, 10), non_gorenstein=True, scroll_dim=3)
-        assert rows
-        for row in rows:
-            assert all(f.status == "n/a" for f in surface_scroll_report(row))
 
 
 def count_calls(monkeypatch, modules, name, log):

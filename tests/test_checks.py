@@ -1,56 +1,66 @@
-"""Checks of the paper's statements on curve records.
+"""The checks of the paper's statements, on whole sets of curve records.
 
-The two scroll-statement reports are pinned byte for byte: a sha256 over
-every finding, detail text included, on the genus 4-12 catalog.  The
-registered discrepancies of `cubic-dimension-bound` are pinned like the
-`expect_flag` fixture rows: reported, never corrected.
+`surface_scroll_report` runs on every generated row of a genus range and
+on every curve of the bundled tables, where the registered discrepancies
+of `cubic-dimension-bound` are pinned like the `expect_flag` fixture rows:
+reported, never corrected.  Every finding of both reports is pinned byte
+for byte on the genus 4-12 catalog.  The reports' tests on single records
+are in `test_chow.py`.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from scrollcurves.catalog import build_catalog, surface_scroll_report, threefold_bundle_report
+from scrollcurves.catalog import build_catalog, row_for_curve
+from scrollcurves.checks import surface_scroll_report, threefold_bundle_report
 from scrollcurves.curves import analyze, make_curve
 from scrollcurves.fixtures import fixture, fixture_names
 from scrollcurves.scrolls import scroll_structures
 
-# sha256 of the findings below; see `TestFindingsDigest`.
-FINDINGS_SHA256 = "e817c8e25d9acd746d01998783531a72fe715f7ab24b0fd45c7a2786a03884df"
+# A registered discrepancy, pinned like the `expect_flag` fixture rows: the
+# family (3, 3k + 1, 6k - 2, 6k - 1), k = 2..5, of genus 3k - 1.  Each curve
+# is Kunz at a single point and carries a cubic surface structure with
+# 3m = g - 2, so the equality half of `cubic-dimension-bound` (3m = g - 3
+# iff Kunz at a single point) fails.  The abstract alone cannot say
+# whether the report or the statement is off; it is reported, never
+# corrected.
+CUBIC_BOUND_FAMILY = tuple((3, 3 * k + 1, 6 * k - 2, 6 * k - 1) for k in range(2, 6))
 
-# The twist u tried for each fiber degree ell; u = 4 for larger ell.
-TWISTS = {1: (2,), 2: (3,), 3: (4,), 4: (4, 5)}
 
+class TestSurfaceStatements:
+    """`surface_scroll_report` on every generated non-Gorenstein row whose
+    canonical model lies on a surface scroll, genus 4 to 16."""
 
-class TestFindingsDigest:
-    """Every finding of both reports, detail text included, on all 1,405
-    rows of the genus 4-12 catalog."""
+    def test_only_the_registered_family_fails(self):
+        rows = [
+            row
+            for d in (1, 2)
+            for row in build_catalog(range(4, 17), non_gorenstein=True, scroll_dim=d)
+        ]
+        assert len(rows) == 467
+        fails = sorted(
+            (row.exponents, f.item)
+            for row in rows
+            for f in surface_scroll_report(row)
+            if f.status == "fail"
+        )
+        assert fails == [(e, "cubic-dimension-bound") for e in CUBIC_BOUND_FAMILY]
 
-    def test_findings_digest(self):
-        rows = build_catalog(range(4, 13))
-        assert len(rows) == 1405
-        digest = hashlib.sha256()
-        surface = threefold = 0
+    def test_registered_family_shape(self):
+        for k, exponents in enumerate(CUBIC_BOUND_FAMILY, start=2):
+            row = row_for_curve(make_curve(exponents))
+            assert (row.genus, row.eta, row.mu, row.eta_branches) == (3 * k - 1, 1, 1, (1, 0))
+            assert row.flags["kunz"]
+            cubics = [s.m_min for s in scroll_structures(row.canonical, 2) if s.ell == 3]
+            assert cubics == [k - 1]
+            assert 3 * cubics[0] == row.genus - 2
+
+    def test_larger_scroll_dimension_not_applicable(self):
+        rows = build_catalog(range(4, 10), non_gorenstein=True, scroll_dim=3)
+        assert rows
         for row in rows:
-            for f in surface_scroll_report(row):
-                digest.update(repr((row.exponents, "surface") + tuple(f)).encode())
-                surface += 1
-        for row in rows:
-            g, eta, mu = row.genus, row.eta, row.mu
-            if eta == 0 or g < 5:
-                continue
-            for s in scroll_structures(row.canonical, 3):
-                if s.m_min <= 0:
-                    continue
-                for u in TWISTS.get(s.ell, (4,)):
-                    # the v that the chi balance forces, rounded down
-                    v = -(g - 5) - ((u - 4) * (2 * g - 2 - eta) + eta + 2 * mu) // s.ell
-                    for f in threefold_bundle_report(row, s, u, v):
-                        key = (row.exponents, s.step, s.blocks, u, v)
-                        digest.update(repr(key + tuple(f)).encode())
-                        threefold += 1
-        assert (surface, threefold) == (14050, 2704)
-        assert digest.hexdigest() == FINDINGS_SHA256
+            assert all(f.status == "n/a" for f in surface_scroll_report(row))
 
 
 # A second registered discrepancy of `cubic-dimension-bound`, pinned like
@@ -86,3 +96,41 @@ class TestFixtureStatements:
         cubics = [s.m_min for s in scroll_structures(record.canonical, 2) if s.ell == 3]
         assert cubics == [1]
         assert 3 * cubics[0] != record.genus - 3
+
+
+# sha256 of every finding `TestFindingsDigest` takes, detail texts included.
+FINDINGS_SHA256 = "e817c8e25d9acd746d01998783531a72fe715f7ab24b0fd45c7a2786a03884df"
+
+# The twist u tried for each fiber degree ell; u = 4 for larger ell.
+TWISTS = {1: (2,), 2: (3,), 3: (4,), 4: (4, 5)}
+
+
+class TestFindingsDigest:
+    """Every finding of both reports, detail text included, on all 1,405
+    rows of the genus 4-12 catalog."""
+
+    def test_findings_digest(self):
+        rows = build_catalog(range(4, 13))
+        assert len(rows) == 1405
+        digest = hashlib.sha256()
+        surface = threefold = 0
+        for row in rows:
+            for f in surface_scroll_report(row):
+                digest.update(repr((row.exponents, "surface") + tuple(f)).encode())
+                surface += 1
+        for row in rows:
+            g, eta, mu = row.genus, row.eta, row.mu
+            if eta == 0 or g < 5:
+                continue
+            for s in scroll_structures(row.canonical, 3):
+                if s.m_min <= 0:
+                    continue
+                for u in TWISTS.get(s.ell, (4,)):
+                    # the v that the chi balance forces, rounded down
+                    v = -(g - 5) - ((u - 4) * (2 * g - 2 - eta) + eta + 2 * mu) // s.ell
+                    for f in threefold_bundle_report(row, s, u, v):
+                        key = (row.exponents, s.step, s.blocks, u, v)
+                        digest.update(repr(key + tuple(f)).encode())
+                        threefold += 1
+        assert (surface, threefold) == (14050, 2704)
+        assert digest.hexdigest() == FINDINGS_SHA256

@@ -7,7 +7,7 @@ test-local copies (`ref_*`): hypothesis compares each class and product
 with its dict image {(k, 0): a, (k - 1, 1): b}, and both closed forms, both
 ring routes and the genus, on random smooth scrolls.
 `test_chow_sympy.py` adds a symbolic third route.  The two scroll-statement
-reports of `scrollcurves.catalog`, which apply these formulas to a curve
+reports of `scrollcurves.checks`, which apply these formulas to a curve
 record, are tested at the end on real records.
 """
 
@@ -39,7 +39,8 @@ from scrollcurves.chow import (
     h0_class,
     pa_from_bundle,
 )
-from scrollcurves.catalog import build_catalog, surface_scroll_report, threefold_bundle_report
+from scrollcurves.catalog import build_catalog
+from scrollcurves.checks import surface_scroll_report, threefold_bundle_report
 from scrollcurves.curves import analyze, make_curve
 from scrollcurves.errors import (
     NonIntegralGenus,

@@ -26,7 +26,9 @@ PACKAGE = Path(scrollcurves.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
-LAYERS = ("errors", "fixtures", "semigroups", "curves", "chow", "scrolls", "catalog", "cli")
+LAYERS = (
+    "errors", "fixtures", "semigroups", "curves", "chow", "scrolls", "checks", "catalog", "cli"
+)
 
 
 def _tree(path: Path) -> ast.Module:
