@@ -1,138 +1,63 @@
 """Exact arithmetic for numerical semigroups, rational monomial curves,
-their canonical models, and the rational normal scrolls those models live on."""
+their canonical models, and the rational normal scrolls those models live on.
 
-from .catalog import (
-    AuditReport,
-    FlagRecord,
-    audit_fixture,
-    build_catalog,
-    format_exponents,
-    render,
-    row_for_curve,
-)
-from .checks import Finding, surface_scroll_report, threefold_bundle_report
-from .chow import (
-    Ambient,
-    DivisorClass,
-    RankTwoBundleClass,
-    chow_class,
-    chow_degree,
-    chow_mul,
-    euler_characteristic,
-    genus_on_cone,
-    genus_on_surface,
-    h0_class,
-    pa_from_bundle,
-)
-from .curves import (
-    CurveAnalysis,
-    MonomialCurve,
-    analyze,
-    canonical_exponents,
-    canonical_section_exponents,
-    equal_up_to_reversal,
-    gonality,
-    gonality_pencil,
-    make_curve,
-    representative_curve,
-    sheaf_degree_h0,
-    verify_dualizing_candidate,
-)
-from .errors import (
-    BoundExceeded,
-    EmptyGenerators,
-    GcdNotOne,
-    GenusZero,
-    NonIntegralGenus,
-    NotAValidKappaStar,
-    NotIncreasing,
-    NotTopDimensional,
-    PathsDisagree,
-    ScrollCurvesError,
-    UnknownFixture,
-    UnsupportedDimension,
-)
-from .fixtures import FixtureRow, fixture, fixture_names
-from .scrolls import (
-    ScrollStructure,
-    min_scroll_dimension,
-    run_decomposition,
-    scroll_structures,
-)
-from .semigroups import (
-    DEFAULT_GENUS_BOUND,
-    NumericalSemigroup,
-    enumerate_genus,
-    eta_local,
-    is_symmetric,
-    kappa_sets,
-    make_semigroup,
-    mu_local,
-    recover_from_kappa_star,
-)
+Importing the package loads none of its modules: each export below is
+imported from its home module on first access (PEP 562), so a command that
+needs only a few layers compiles and imports only those.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ambient",
-    "AuditReport",
-    "BoundExceeded",
-    "CurveAnalysis",
-    "DEFAULT_GENUS_BOUND",
-    "DivisorClass",
-    "EmptyGenerators",
-    "Finding",
-    "FixtureRow",
-    "FlagRecord",
-    "GcdNotOne",
-    "GenusZero",
-    "MonomialCurve",
-    "NonIntegralGenus",
-    "NotAValidKappaStar",
-    "NotIncreasing",
-    "NotTopDimensional",
-    "NumericalSemigroup",
-    "PathsDisagree",
-    "RankTwoBundleClass",
-    "ScrollCurvesError",
-    "ScrollStructure",
-    "UnknownFixture",
-    "UnsupportedDimension",
-    "analyze",
-    "audit_fixture",
-    "build_catalog",
-    "canonical_exponents",
-    "canonical_section_exponents",
-    "chow_class",
-    "chow_degree",
-    "chow_mul",
-    "enumerate_genus",
-    "equal_up_to_reversal",
-    "eta_local",
-    "euler_characteristic",
-    "fixture",
-    "fixture_names",
-    "format_exponents",
-    "genus_on_cone",
-    "genus_on_surface",
-    "gonality",
-    "gonality_pencil",
-    "h0_class",
-    "is_symmetric",
-    "kappa_sets",
-    "make_curve",
-    "make_semigroup",
-    "min_scroll_dimension",
-    "mu_local",
-    "pa_from_bundle",
-    "recover_from_kappa_star",
-    "render",
-    "representative_curve",
-    "row_for_curve",
-    "run_decomposition",
-    "scroll_structures",
-    "sheaf_degree_h0",
-    "surface_scroll_report",
-    "threefold_bundle_report",
-    "verify_dualizing_candidate",
-]
+# Each module and the names the package exports from it.
+_EXPORTS = {
+    "catalog": (
+        "AuditReport", "FlagRecord", "audit_fixture", "build_catalog", "render", "row_for_curve",
+    ),
+    "checks": ("Finding", "surface_scroll_report", "threefold_bundle_report"),
+    "chow": (
+        "Ambient", "DivisorClass", "RankTwoBundleClass", "chow_class", "chow_degree",
+        "chow_mul", "euler_characteristic", "genus_on_cone", "genus_on_surface", "h0_class",
+        "pa_from_bundle",
+    ),
+    "curves": (
+        "CurveAnalysis", "MonomialCurve", "analyze", "canonical_exponents",
+        "canonical_section_exponents", "equal_up_to_reversal", "format_exponents", "gonality",
+        "gonality_pencil", "make_curve", "representative_curve", "sheaf_degree_h0",
+        "verify_dualizing_candidate",
+    ),
+    "errors": (
+        "BoundExceeded", "EmptyGenerators", "GcdNotOne", "GenusZero", "NonIntegralGenus",
+        "NotAValidKappaStar", "NotIncreasing", "NotTopDimensional", "PathsDisagree",
+        "ScrollCurvesError", "UnknownFixture", "UnsupportedDimension",
+    ),
+    "fixtures": ("FixtureRow", "fixture", "fixture_names"),
+    "scrolls": (
+        "ScrollStructure", "min_scroll_dimension", "run_decomposition", "scroll_structures",
+    ),
+    "semigroups": (
+        "DEFAULT_GENUS_BOUND", "NumericalSemigroup", "enumerate_genus", "eta_local",
+        "is_symmetric", "kappa_sets", "make_semigroup", "mu_local", "recover_from_kappa_star",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name):
+    """Import an export, or one of the modules that holds them, on first
+    access and keep it on the package."""
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .checks import check_scroll_correspondence
 from .curves import (
@@ -28,15 +28,18 @@ from .curves import (
     canonical_exponents,
     canonical_section_exponents,
     equal_up_to_reversal,
+    format_exponents,
     gonality,
     make_curve,
     representative_curve,
     verify_dualizing_candidate,
 )
 from .errors import PathsDisagree
-from .fixtures import FixtureRow, fixture
 from .scrolls import ScrollStructure, scroll_structures
 from .semigroups import enumerate_genus
+
+if TYPE_CHECKING:
+    from .fixtures import FixtureRow
 
 
 class FlagRecord(NamedTuple):
@@ -58,20 +61,6 @@ class AuditReport(NamedTuple):
     @property
     def total(self) -> int:
         return self.matched + len(self.flagged)
-
-
-def format_exponents(exponents) -> str:
-    """Parametrization string of an exponent tuple.
-
-    A leading coordinate 1 is implied: curve exponents never contain 0,
-    so one is prepended; canonical exponent sets contain 0 and that entry
-    renders as the 1 itself.
-    """
-    exponents = tuple(exponents)
-    parts = [] if 0 in exponents else ["1"]
-    for a in exponents:
-        parts.append("1" if a == 0 else "t" if a == 1 else f"t^{a}")
-    return "(" + ":".join(parts) + ")"
 
 
 def _catalog_row(
@@ -183,6 +172,8 @@ def _audit_row(name: str, row: FixtureRow) -> FlagRecord | None:
 
 def audit_fixture(name: str) -> AuditReport:
     """Recompute a bundled table and compare it row by row."""
+    from .fixtures import fixture
+
     rows = fixture(name)
     flagged = []
     for row in rows:

@@ -10,7 +10,6 @@ A report is a list of findings, each pass, fail or n/a, and never raises.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .curves import CurveAnalysis, gonality, image_curve
@@ -68,6 +67,8 @@ def surface_scroll_report(record: CurveAnalysis) -> list[Finding]:
     record of genus below 4, or one with no surface structure yields
     not-applicable findings throughout, never an error.
     """
+    from fractions import Fraction
+
     g, g_prime, eta, mu, gon = (
         record.genus, record.g_prime, record.eta, record.mu, record.gonality
     )
@@ -238,6 +239,8 @@ def threefold_bundle_report(
     Gorenstein record or one of genus at most 4 yields not-applicable
     findings throughout.
     """
+    from fractions import Fraction
+
     g, g_prime, eta, mu = record.genus, record.g_prime, record.eta, record.mu
     if eta == 0 or g <= 4:
         reason = "curve is Gorenstein" if eta == 0 else "needs genus at least 5"

@@ -34,7 +34,6 @@ is built only for the reduced value an error prints.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -310,6 +309,8 @@ def euler_characteristic(amb: Ambient, c: DivisorClass) -> int:
     closed = _chi_closed_numerator(amb, c)
     ring = _chi_ring_numerator(amb, c)
     if closed != ring:
+        from fractions import Fraction
+
         raise PathsDisagree(
             f"chi closed form {Fraction(closed, den)} vs ring evaluation "
             f"{Fraction(ring, den)} on {amb.dims}, class {c}"
@@ -356,6 +357,8 @@ def _bundle_chi_dual_numerator(amb: Ambient, b: RankTwoBundleClass) -> int:
         + 12 * chow_degree(amb, chow_mul(amb, c1, c2))
     )
     if closed != ring:
+        from fractions import Fraction
+
         raise PathsDisagree(
             f"bundle chi closed form {Fraction(closed, 24)} vs ring evaluation "
             f"{Fraction(ring, 24)}"
@@ -388,11 +391,15 @@ def pa_from_bundle(amb: Ambient, b: RankTwoBundleClass) -> int:
     adjoint = chow_class(amb, 1, u - 3, v + e - 2)
     path_c = 24 + 12 * chow_degree(amb, chow_mul(amb, c2e, adjoint))
     if not (path_a == path_b == path_c):
+        from fractions import Fraction
+
         raise PathsDisagree(
             "genus paths disagree: "
             + ", ".join(str(Fraction(p, 24)) for p in (path_a, path_b, path_c))
         )
     if path_a % 24:
+        from fractions import Fraction
+
         raise NonIntegralGenus(
             f"bundle data {b} yields genus {Fraction(path_a, 24)}; no such curve exists"
         )

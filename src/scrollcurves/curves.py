@@ -186,6 +186,20 @@ def canonical_exponents(curve: MonomialCurve) -> tuple[int, ...]:
     return tuple(c - raw[0] for c in raw)
 
 
+def format_exponents(exponents) -> str:
+    """Parametrization string of an exponent tuple.
+
+    A leading coordinate 1 is implied: curve exponents never contain 0,
+    so one is prepended; canonical exponent sets contain 0 and that entry
+    renders as the 1 itself.
+    """
+    exponents = tuple(exponents)
+    parts = [] if 0 in exponents else ["1"]
+    for a in exponents:
+        parts.append("1" if a == 0 else "t" if a == 1 else f"t^{a}")
+    return "(" + ":".join(parts) + ")"
+
+
 class SheafData(NamedTuple):
     """Degree and number of global sections of a monomial sheaf."""
 

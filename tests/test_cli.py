@@ -10,9 +10,10 @@ import time
 
 import pytest
 
+from scrollcurves import catalog as catalog_module
 from scrollcurves import chow as chow_module
-from scrollcurves import cli as cli_module
 from scrollcurves import curves as curves_module
+from scrollcurves import scrolls as scrolls_module
 from scrollcurves.cli import main
 
 
@@ -129,7 +130,7 @@ class TestSingleValueCommands:
 
     def test_gonality_checks_the_scroll_correspondence(self, capsys, monkeypatch):
         # 3,7,8 has genus 4, gonality 3 and minimum scroll dimension 2
-        monkeypatch.setattr(cli_module, "min_scroll_dimension", lambda values: 3)
+        monkeypatch.setattr(scrolls_module, "min_scroll_dimension", lambda values: 3)
         code, out, err = run_cli("gonality", "--exponents", "3,7,8", capsys=capsys)
         assert (code, out) == (2, "")
         assert "trigonal correspondence" in err
@@ -198,10 +199,10 @@ class TestSingleValueCommands:
 
     def test_split_limit_is_inclusive(self, capsys, monkeypatch):
         # 3,7,8 up to dimension 3 walks 2 + 6 splits
-        monkeypatch.setattr(cli_module, "SPLIT_LIMIT", 8)
+        monkeypatch.setattr(scrolls_module, "SPLIT_LIMIT", 8)
         code, _, _ = run_cli("scrolls", "--exponents", "3,7,8", "--max-dim", "3", capsys=capsys)
         assert code == 0
-        monkeypatch.setattr(cli_module, "SPLIT_LIMIT", 7)
+        monkeypatch.setattr(scrolls_module, "SPLIT_LIMIT", 7)
         code, out, err = run_cli(
             "scrolls", "--exponents", "3,7,8", "--max-dim", "3", capsys=capsys
         )
@@ -259,7 +260,7 @@ class TestCatalog:
         def build_catalog(*args, **kwargs):
             raise AssertionError("the catalog was built for an unwritable --out")
 
-        monkeypatch.setattr(cli_module, "build_catalog", build_catalog)
+        monkeypatch.setattr(catalog_module, "build_catalog", build_catalog)
         for target in (tmp_path / "missing" / "rows.json", tmp_path):
             code, out, err = run_cli(
                 "catalog", "--genus", "4..16", "--out", str(target), capsys=capsys
@@ -384,7 +385,7 @@ class TestFormula:
 
     @pytest.mark.parametrize("d", ["1", "1000000000"])
     def test_chi_refuses_other_dimensions_before_the_scroll(self, capsys, monkeypatch, d):
-        monkeypatch.setattr(cli_module.Ambient, "balanced", None)
+        monkeypatch.setattr(chow_module.Ambient, "balanced", None)
         code, out, err = run_cli(
             "formula", "chi", "--d", d, "--e", "3", "--h", "1", "--f", "1",
             capsys=capsys,

@@ -1,18 +1,21 @@
-"""Stale imports and exports in the package, and its layering, found with
-the stdlib `ast`.
+"""Stale imports and exports in the package, its layering, and the modules
+each command loads.
 
 Every name a module of `scrollcurves`, a test or a demo imports must be
-used in that file, and the package's `__init__` must export exactly what it imports
-through `__all__`, each name of which resolves on the package.  Deleting
-a function or a type tends to leave such names behind.  The modules form
-one order (`LAYERS`), and each imports only package modules before it;
-the intersection theory of `chow` imports nothing of the package but its
-errors.
+used in that file (found with the stdlib `ast`), and the package's
+`__init__` exports exactly the names of its export table through
+`__all__`, each of which resolves on the package to the object its home
+module holds.  Deleting a function or a type tends to leave such names
+behind.  The modules form one order (`LAYERS`), and each imports only
+package modules before it; the intersection theory of `chow` imports
+nothing of the package but its errors.  A fresh interpreter running one
+command loads only the layers that command runs.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -57,15 +60,6 @@ def _used_names(tree: ast.Module) -> set[str]:
     }
 
 
-def _dunder_all(tree: ast.Module) -> list[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return list(ast.literal_eval(node.value))
-    raise AssertionError("__init__.py defines no __all__")
-
-
 @pytest.mark.parametrize(
     "path", MODULES + SCRIPTS, ids=lambda p: p.stem if p.parent == PACKAGE else p.parent.name + "/" + p.stem
 )
@@ -77,13 +71,22 @@ def test_every_import_is_used(path):
 
 
 def test_init_exports_what_it_imports():
-    tree = _tree(PACKAGE / "__init__.py")
-    exported = _dunder_all(tree)
-    assert len(exported) == len(set(exported)), "__all__ lists a name twice"
-    imported = _imported_names(tree)
-    assert sorted(set(imported) - set(exported)) == []
-    missing = [name for name in exported if not hasattr(scrollcurves, name)]
-    assert missing == []
+    """The package imports each export from its home module on first
+    access, as its table (module -> names) says."""
+    table = scrollcurves._EXPORTS
+    names = [name for names in table.values() for name in names]
+    assert len(names) == len(set(names)), "the export table lists a name twice"
+    assert scrollcurves.__all__ == sorted(names)
+    for module, names in table.items():
+        home = importlib.import_module(f"scrollcurves.{module}")
+        for name in names:
+            value = getattr(scrollcurves, name)
+            assert value is getattr(home, name), name
+            assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    listed = set(dir(scrollcurves))
+    assert [name for name in scrollcurves.__all__ if name not in listed] == []
+    with pytest.raises(AttributeError):
+        scrollcurves.no_such_export
 
 
 def _package_imports(tree: ast.Module) -> set[str]:
@@ -125,3 +128,44 @@ def test_cli_import_loads_no_dataclass_machinery():
         check=True,
     )
     assert done.stdout == "[]\n"
+
+
+# Each row may load the package modules of the rows above it.
+_PARSER = {"cli", "errors", "fixtures"}
+_CANONICAL = _PARSER | {"semigroups", "curves"}
+_SCROLLS = _CANONICAL | {"chow", "scrolls"}
+BUDGETS = {
+    "parser": (None, _PARSER),
+    "usage-error": (["analyze"], _PARSER),
+    "formula-chi": (["formula", "chi", "--d", "3", "--e", "3", "--h", "1", "--f", "1"],
+                    _PARSER | {"chow"}),
+    "formula-pa-bundle": (
+        ["formula", "pa-bundle", "--e", "3", "--u", "2", "--v", "0", "--w", "1", "--z", "0"],
+        _PARSER | {"chow"},
+    ),
+    "canonical": (["canonical", "--exponents", "4,5,7,8"], _CANONICAL),
+    "scrolls": (["scrolls", "--exponents", "4,5,7,8"], _SCROLLS),
+    "gonality": (["gonality", "--exponents", "4,5,7,8"], _SCROLLS | {"checks"}),
+}
+
+
+@pytest.mark.parametrize("argv, allowed", BUDGETS.values(), ids=BUDGETS)
+def test_command_loads_only_its_layers(argv, allowed):
+    """A fresh interpreter that builds the parser, or runs one command
+    (`analyze` without exponents is a usage error), loads only the package
+    modules that command runs, and none of json, csv, fractions or
+    decimal: the package and the CLI import every layer on demand."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = "cli.build_parser()" if argv is None else f"cli.main({argv!r})"
+    code = f"import sys\nfrom scrollcurves import cli\n{run}\nprint(sorted(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
+    package = {m.split(".", 1)[1] for m in loaded if m.startswith("scrollcurves.")}
+    assert package <= allowed, sorted(package - allowed)
+    assert loaded & {"json", "csv", "fractions", "decimal"} == set()
