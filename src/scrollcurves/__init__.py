@@ -47,8 +47,9 @@ __all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 
 def __getattr__(name):
-    """Import an export, or one of the modules that holds them, on first
-    access and keep it on the package."""
+    """Import an export on first access and keep it on the package.  A
+    module that holds exports resolves too, so `scrollcurves.chow` works
+    after a bare `import scrollcurves`."""
     if name in _HOME:
         value = getattr(import_module(f".{_HOME[name]}", __name__), name)
     elif name in _EXPORTS:

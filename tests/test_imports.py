@@ -89,6 +89,15 @@ def test_init_exports_what_it_imports():
         scrollcurves.no_such_export
 
 
+@pytest.mark.parametrize("module", sorted(scrollcurves._EXPORTS))
+def test_init_resolves_the_modules_it_exports_from(module, monkeypatch):
+    """`import scrollcurves` then `scrollcurves.chow` works without an
+    import of the module itself, as when the package imported every one."""
+    loaded = importlib.import_module(f"scrollcurves.{module}")
+    monkeypatch.delattr(scrollcurves, module)
+    assert getattr(scrollcurves, module) is loaded
+
+
 def _package_imports(tree: ast.Module) -> set[str]:
     """The package modules a module imports; inside the package every
     import of its own modules is relative."""
