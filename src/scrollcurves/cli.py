@@ -5,10 +5,11 @@ scrolls inspect a single curve given by its exponents; catalog enumerates
 curves by genus; audit recomputes a bundled reference table; formula
 evaluates the intersection-theoretic closed forms directly.
 
-At import the module loads only what building the parser needs (the
-errors and the fixture table names); each command's handler imports the
-layers it runs, so `canonical` never loads the catalog, nor `formula`
-the curves.
+At import the module loads only the errors of the package.  Each
+subcommand's parser is built when its command is parsed, so a process
+that runs one command builds one parser (and only `audit` loads the
+fixture table names), and each command's handler imports the layers it
+runs, so `canonical` never loads the catalog, nor `formula` the curves.
 
 Exit codes: 0 success, 1 usage error (a malformed command line, or an
 --out file that cannot be written), 2 validation error (bad domain input),
@@ -24,7 +25,6 @@ import os
 import sys
 
 from .errors import BoundExceeded, ScrollCurvesError, UnsupportedDimension
-from .fixtures import fixture_names
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
@@ -201,6 +201,29 @@ def _cmd_formula_pa_bundle(args) -> int:
     return 0
 
 
+class _Commands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built when their command is parsed.
+
+    `choices` maps each name to the function that adds its arguments, so
+    argparse refuses an unknown name with its own message, and each help
+    line is a pseudo-action from the start, so `--help` lists every
+    command; a process that runs one command builds one parser."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.choices = {}
+
+    def add_command(self, name: str, help: str, add_arguments) -> None:
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self.choices[name] = add_arguments
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        if name not in self._name_parser_map:
+            self.choices[name](self.add_parser(name))
+        super().__call__(parser, namespace, values, option_string)
+
+
 def _add_exponents(parser) -> None:
     parser.add_argument(
         "--exponents",
@@ -211,33 +234,29 @@ def _add_exponents(parser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="scrollcurves",
-        description="invariants, canonical models, and scroll geometry "
-        "of monomial curves",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("analyze", help="full invariant record of one curve")
+def _analyze_arguments(p) -> None:
     _add_exponents(p)
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("canonical", help="canonical model of one curve")
+
+def _canonical_arguments(p) -> None:
     _add_exponents(p)
     p.set_defaults(handler=_cmd_canonical)
 
-    p = sub.add_parser("gonality", help="gonality of one curve")
+
+def _gonality_arguments(p) -> None:
     _add_exponents(p)
     p.set_defaults(handler=_cmd_gonality)
 
-    p = sub.add_parser("scrolls", help="scroll structures of the canonical model")
+
+def _scrolls_arguments(p) -> None:
     _add_exponents(p)
     p.add_argument("--max-dim", type=int, default=3, metavar="D")
     p.set_defaults(handler=_cmd_scrolls)
 
-    p = sub.add_parser("catalog", help="enumerate curves by genus")
+
+def _catalog_arguments(p) -> None:
     p.add_argument(
         "--genus",
         type=_genus_range,
@@ -251,26 +270,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="FILE")
     p.set_defaults(handler=_cmd_catalog)
 
-    p = sub.add_parser("audit", help="recompute a bundled reference table")
+
+def _audit_arguments(p) -> None:
+    from .fixtures import fixture_names
+
     p.add_argument("--fixture", required=True,
                    help="table name: " + ", ".join(fixture_names()))
     p.add_argument("--strict", action="store_true",
                    help="exit with code 3 if any row is flagged")
     p.set_defaults(handler=_cmd_audit)
 
-    p = sub.add_parser("formula", help="evaluate intersection-theory formulas")
-    formula_sub = p.add_subparsers(dest="formula", required=True, metavar="FORMULA")
 
-    q = formula_sub.add_parser("chi", help="Euler characteristic of hH+fF on a scroll")
+def _formula_arguments(p) -> None:
+    sub = p.add_subparsers(action=_Commands, dest="formula", required=True, metavar="FORMULA")
+    sub.add_command("chi", "Euler characteristic of hH+fF on a scroll", _chi_arguments)
+    sub.add_command(
+        "pa-bundle",
+        "arithmetic genus from rank-2 Chern data on a threefold",
+        _pa_bundle_arguments,
+    )
+
+
+def _chi_arguments(q) -> None:
     q.add_argument("--d", type=int, required=True, help="scroll dimension")
     q.add_argument("--e", type=int, required=True, help="scroll degree")
     q.add_argument("--h", type=int, required=True)
     q.add_argument("--f", type=int, required=True)
     q.set_defaults(handler=_cmd_formula_chi)
 
-    q = formula_sub.add_parser(
-        "pa-bundle", help="arithmetic genus from rank-2 Chern data on a threefold"
-    )
+
+def _pa_bundle_arguments(q) -> None:
     q.add_argument("--e", type=int, required=True, help="scroll degree")
     q.add_argument("--u", type=int, required=True)
     q.add_argument("--v", type=int, required=True)
@@ -278,6 +307,27 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--z", type=int, required=True)
     q.set_defaults(handler=_cmd_formula_pa_bundle)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="scrollcurves",
+        description="invariants, canonical models, and scroll geometry "
+        "of monomial curves",
+    )
+    sub = parser.add_subparsers(
+        action=_Commands, dest="command", required=True, metavar="COMMAND"
+    )
+    sub.add_command("analyze", "full invariant record of one curve", _analyze_arguments)
+    sub.add_command("canonical", "canonical model of one curve", _canonical_arguments)
+    sub.add_command("gonality", "gonality of one curve", _gonality_arguments)
+    sub.add_command(
+        "scrolls", "scroll structures of the canonical model", _scrolls_arguments
+    )
+    sub.add_command("catalog", "enumerate curves by genus", _catalog_arguments)
+    sub.add_command("audit", "recompute a bundled reference table", _audit_arguments)
+    sub.add_command(
+        "formula", "evaluate intersection-theory formulas", _formula_arguments
+    )
     return parser
 
 
@@ -285,12 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser `main` uses, built once per process.
 
-    Building the tree costs about 2 ms the first time in a process and
-    about 1 ms after that (2-core Xeon, Python 3.11), which matters only
-    to a process that calls `main` many times (a test suite, a benchmark); a
-    one-shot command line process builds it once either way and gains
-    nothing.  `build_parser` stays uncached for callers that want a fresh
-    tree.
+    The top parser costs about 1.8 ms the first time in a process, most
+    of it argparse's first use, and 0.17 ms after that; a subcommand's
+    parser, built when its command is first parsed, about 0.2 ms (2-core
+    Xeon, Python 3.11).  Keeping them matters only to a process that calls
+    `main` many times (a test suite, a benchmark); a one-shot command line
+    process builds each once either way and gains nothing.  `build_parser`
+    stays uncached for callers that want a fresh tree.
     """
     return build_parser()
 
