@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+import functools
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +15,9 @@ import pytest
 
 from scrollcurves import catalog as catalog_module
 from scrollcurves import chow as chow_module
+from scrollcurves import cli as cli_module
 from scrollcurves import curves as curves_module
+from scrollcurves import fixtures as fixtures_module
 from scrollcurves import scrolls as scrolls_module
 from scrollcurves.cli import main
 
@@ -439,6 +444,67 @@ class TestExitCodes:
         code, out, _ = run_cli("--help", capsys=capsys)
         assert code == 0
         assert "COMMAND" in out
+
+
+def _commands(parser):
+    """The subcommand action of a parser, or None."""
+    found = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return found[0] if found else None
+
+
+class TestParser:
+    SEQUENCE = [
+        ["canonical", "--exponents", "4,5,7,8"],
+        ["analyze", "--exponents", "4,5,7,8"],
+        ["formula", "chi", "--d", "3", "--e", "3", "--h", "1", "--f", "1"],
+        ["canonical", "--exponents", "3,7,8"],
+        ["analyze"],
+        ["formula", "chi", "--d", "x"],
+        ["bogus"],
+    ]
+
+    def test_one_parser_answers_as_fresh_ones_do(self, capsys, monkeypatch):
+        """The parser `main` keeps builds each subcommand on first use and
+        reuses it; its answers equal those of a fresh parser per call."""
+
+        def answers():
+            return [run_cli(*argv, capsys=capsys) for argv in self.SEQUENCE]
+
+        monkeypatch.setattr(cli_module, "_parser", functools.cache(cli_module.build_parser))
+        kept = answers()
+        assert [code for code, _, _ in kept] == [0, 0, 0, 0, 1, 1, 1]
+        assert cli_module._parser.cache_info().misses == 1
+        monkeypatch.setattr(cli_module, "_parser", cli_module.build_parser)
+        assert answers() == kept
+
+    @pytest.mark.parametrize(
+        "path",
+        [(), ("analyze",), ("canonical",), ("gonality",), ("scrolls",), ("catalog",),
+         ("audit",), ("formula",), ("formula", "chi"), ("formula", "pa-bundle")],
+        ids=lambda path: "-".join(path) or "top",
+    )
+    def test_help_names_every_option_and_command(self, path, capsys, monkeypatch):
+        """Each parser's `--help`, the subcommands' built on demand, exits 0
+        and names every option the parser defines and every command under
+        it."""
+        parser = cli_module.build_parser()
+        monkeypatch.setattr(cli_module, "_parser", lambda: parser)
+        code, out, err = run_cli(*path, "--help", capsys=capsys)
+        assert (code, err) == (0, "")
+        for name in path:
+            parser = _commands(parser)._name_parser_map[name]
+        commands = _commands(parser)
+        names = [s for action in parser._actions for s in action.option_strings]
+        names += list(commands.choices) if commands else []
+        missing = [n for n in names if not re.search(rf"(?<![\w-]){re.escape(n)}(?![\w-])", out)]
+        assert missing == []
+
+    def test_audit_help_lists_every_table(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")
+        code, out, _ = run_cli("audit", "--help", capsys=capsys)
+        assert code == 0
+        listed = re.search(r"table name: (.*)", out).group(1).split(", ")
+        assert listed == list(fixtures_module.fixture_names())
 
 
 def test_module_entry_point():

@@ -139,8 +139,8 @@ def test_cli_import_loads_no_dataclass_machinery():
     assert done.stdout == "[]\n"
 
 
-# Each row may load the package modules of the rows above it.
-_PARSER = {"cli", "errors", "fixtures"}
+# Each row but the last may load the package modules of the rows above it.
+_PARSER = {"cli", "errors"}
 _CANONICAL = _PARSER | {"semigroups", "curves"}
 _SCROLLS = _CANONICAL | {"chow", "scrolls"}
 BUDGETS = {
@@ -155,6 +155,7 @@ BUDGETS = {
     "canonical": (["canonical", "--exponents", "4,5,7,8"], _CANONICAL),
     "scrolls": (["scrolls", "--exponents", "4,5,7,8"], _SCROLLS),
     "gonality": (["gonality", "--exponents", "4,5,7,8"], _SCROLLS | {"checks"}),
+    "audit": (["audit", "--fixture", "surface-g4"], set(LAYERS)),
 }
 
 
@@ -162,8 +163,9 @@ BUDGETS = {
 def test_command_loads_only_its_layers(argv, allowed):
     """A fresh interpreter that builds the parser, or runs one command
     (`analyze` without exponents is a usage error), loads only the package
-    modules that command runs, and none of json, csv, fractions or
-    decimal: the package and the CLI import every layer on demand."""
+    modules that command runs, so only `audit` loads the fixture tables,
+    and none of fractions or decimal, nor json or csv but through the
+    catalog: the package and the CLI import every layer on demand."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     run = "cli.build_parser()" if argv is None else f"cli.main({argv!r})"
     code = f"import sys\nfrom scrollcurves import cli\n{run}\nprint(sorted(sys.modules))"
@@ -177,4 +179,5 @@ def test_command_loads_only_its_layers(argv, allowed):
     loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
     package = {m.split(".", 1)[1] for m in loaded if m.startswith("scrollcurves.")}
     assert package <= allowed, sorted(package - allowed)
-    assert loaded & {"json", "csv", "fractions", "decimal"} == set()
+    banned = {"fractions", "decimal"} | (set() if "catalog" in allowed else {"json", "csv"})
+    assert loaded & banned == set()
