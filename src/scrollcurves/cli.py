@@ -320,14 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_command("analyze", "full invariant record of one curve", _analyze_arguments)
     sub.add_command("canonical", "canonical model of one curve", _canonical_arguments)
     sub.add_command("gonality", "gonality of one curve", _gonality_arguments)
-    sub.add_command(
-        "scrolls", "scroll structures of the canonical model", _scrolls_arguments
-    )
+    sub.add_command("scrolls", "scroll structures of the canonical model", _scrolls_arguments)
     sub.add_command("catalog", "enumerate curves by genus", _catalog_arguments)
     sub.add_command("audit", "recompute a bundled reference table", _audit_arguments)
-    sub.add_command(
-        "formula", "evaluate intersection-theory formulas", _formula_arguments
-    )
+    sub.add_command("formula", "evaluate intersection-theory formulas", _formula_arguments)
     return parser
 
 
